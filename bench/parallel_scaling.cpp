@@ -11,10 +11,11 @@
 //     speedup vs serial, and commit_efficiency — committed / accepted from
 //     one arbitrated MinCritical round on a fresh copy of the circuit (how
 //     much of the parallel work survives deterministic arbitration).
+//   speedup_t4_over_t1 — the headline: probes_per_sec at 4 threads over
+//     probes_per_sec at 1 thread (emitted when both counts are measured).
 //
-// The report records hardware_threads: on a 1-core host every thread count
-// time-slices one CPU, so probes_per_sec stays flat — the scaling claim
-// must be read on a host with >= 8 hardware threads.
+// The report records hardware_threads: a thread count above it time-slices
+// the available cores, so its probes_per_sec cannot show scaling.
 //
 // Usage: parallel_scaling [--out BENCH_parallel.json] [--circuits a,b,c]
 //                         [--threads 1,2,4,8] [--min-time SECONDS]
@@ -102,16 +103,6 @@ struct ThreadPoint {
   double worker_probes_min = 0.0;
   double worker_probes_max = 0.0;
   double worker_probes_skew = 0.0;
-  // Pipelined speculation over a converging run_round loop: replica probes
-  // launched behind arbitration and group results reused vs discarded.
-  // committed_speculative re-runs the same loop with speculation on and
-  // must equal committed_loop (the barrier run) — the bench-level
-  // determinism assertion.
-  std::uint64_t speculative_probes = 0;
-  std::uint64_t speculation_hits = 0;
-  std::uint64_t speculation_wasted = 0;
-  int committed_loop = 0;
-  int committed_speculative = 0;
 };
 
 // Upper bound on per-round worker probe skew (max/mean) the sharding must
@@ -120,26 +111,6 @@ struct ThreadPoint {
 // indivisible.
 constexpr double kMaxLoadSkew = 3.0;
 
-/// run_round until convergence (two consecutive zero-commit rounds),
-/// regenerating the candidate stream each round like the optimizer does.
-/// With `speculate` on, every round hints its own policy so the follow-up
-/// round can harvest; the final zero-commit rounds are the guaranteed hits.
-int converge_rounds(RewireEngine& engine, const CellLibrary& lib,
-                    ParallelRewireScheduler& sched, int max_rounds) {
-  const SpeculationHint hint{ProbePolicy::MinCritical, 1e-6};
-  int total = 0;
-  int dry = 0;
-  for (int round = 0; round < max_rounds && dry < 2; ++round) {
-    const std::vector<ProbeGroup> groups = build_groups(engine, lib);
-    if (groups.empty()) break;
-    const int c = sched.run_round(groups, ProbePolicy::MinCritical, 1e-6, &hint);
-    total += c;
-    dry = c == 0 ? dry + 1 : 0;
-  }
-  sched.drain_speculation();
-  return total;
-}
-
 struct CircuitReport {
   std::string name;
   std::size_t cells = 0;
@@ -147,6 +118,14 @@ struct CircuitReport {
   std::size_t candidates = 0;
   double serial_probes_per_sec = 0.0;
   std::vector<ThreadPoint> points;
+
+  /// probes_per_sec at `threads`, or 0 when that count was not measured.
+  double probes_per_sec_at(int threads) const {
+    for (const ThreadPoint& p : points) {
+      if (p.threads == threads) return p.probes_per_sec;
+    }
+    return 0.0;
+  }
 };
 
 CircuitReport measure(const std::string& name, const CellLibrary& lib,
@@ -237,42 +216,6 @@ CircuitReport measure(const std::string& name, const CellLibrary& lib,
                        : 1.0;
     }
 
-    // Pipelined speculation: the same converging round loop with the
-    // barrier scheduler and the speculative one, from identical baselines.
-    // Speculation may only change WHEN probes run — the committed totals
-    // must be identical.
-    {
-      Network bnet = base.net.clone();
-      Placement bpl = base.pl;
-      Sta bsta(bnet, lib, bpl);
-      RewireEngine bengine(bnet, bpl, lib, bsta);
-      SchedulerOptions bopt;
-      bopt.threads = threads;
-      bopt.speculate = false;
-      ParallelRewireScheduler barrier(bengine, bopt);
-      pt.committed_loop = converge_rounds(bengine, lib, barrier, 40);
-
-      Network snet = base.net.clone();
-      Placement spl = base.pl;
-      Sta ssta(snet, lib, spl);
-      RewireEngine sengine(snet, spl, lib, ssta);
-      SchedulerOptions sspec;
-      sspec.threads = threads;
-      sspec.speculate = true;
-      ParallelRewireScheduler spec(sengine, sspec);
-      pt.committed_speculative = converge_rounds(sengine, lib, spec, 40);
-
-      pt.speculative_probes = spec.stats().speculative_probes;
-      pt.speculation_hits = spec.stats().speculation_hits;
-      pt.speculation_wasted = spec.stats().speculation_wasted;
-      if (pt.committed_speculative != pt.committed_loop) {
-        std::ostringstream msg;
-        msg << name << " threads=" << threads << ": speculative run committed "
-            << pt.committed_speculative << " moves vs barrier "
-            << pt.committed_loop << " — speculation changed arbitration";
-        throw std::runtime_error(msg.str());
-      }
-    }
     rep.points.push_back(pt);
   }
   return rep;
@@ -336,7 +279,11 @@ int main(int argc, char** argv) {
     json << "    {\"name\": \"" << r.name << "\", \"cells\": " << r.cells
          << ", \"groups\": " << r.groups << ", \"candidates\": " << r.candidates
          << ",\n     \"serial_probes_per_sec\": "
-         << static_cast<long long>(r.serial_probes_per_sec) << ",\n     \"scaling\": [";
+         << static_cast<long long>(r.serial_probes_per_sec) << ",\n     ";
+    const double t1 = r.probes_per_sec_at(1);
+    const double t4 = r.probes_per_sec_at(4);
+    if (t1 > 0.0 && t4 > 0.0) json << "\"speedup_t4_over_t1\": " << t4 / t1 << ", ";
+    json << "\"scaling\": [";
     for (std::size_t j = 0; j < r.points.size(); ++j) {
       const ThreadPoint& p = r.points[j];
       json << (j == 0 ? "" : ", ")
@@ -348,11 +295,7 @@ int main(int argc, char** argv) {
            << static_cast<long long>(p.worker_probes_mean) << ", \"min\": "
            << static_cast<long long>(p.worker_probes_min) << ", \"max\": "
            << static_cast<long long>(p.worker_probes_max) << ", \"skew\": "
-           << p.worker_probes_skew << "},\n        \"speculation\": {\"probes\": "
-           << p.speculative_probes << ", \"hits\": " << p.speculation_hits
-           << ", \"wasted\": " << p.speculation_wasted
-           << ", \"committed_loop\": " << p.committed_loop
-           << ", \"committed_speculative\": " << p.committed_speculative << "}}";
+           << p.worker_probes_skew << "}}";
     }
     json << "\n     ]}" << (i + 1 < reports.size() ? "," : "") << "\n";
   }

@@ -40,8 +40,7 @@ OptMode mode_for_iteration(int iter) {
 /// failure description.
 std::string run_experiment(const Network& src, OptMode mode, std::uint64_t flow_seed,
                            int threads, bool sat_crosscheck, bool paranoid_diff,
-                           bool extract_diff, bool speculate_diff,
-                           bool timing_damp_diff) {
+                           bool extract_diff, bool timing_damp_diff) {
   const CellLibrary& lib = builtin_library_035();
   FlowOptions fopt;
   fopt.placer.seed = flow_seed;
@@ -81,25 +80,6 @@ std::string run_experiment(const Network& src, OptMode mode, std::uint64_t flow_
       if (blif_string(full.optimized) != blif_string(serial.optimized)) {
         return "extract-parity: incremental and full-rebuild-per-commit flows "
                "produced different netlists";
-      }
-    }
-
-    if (speculate_diff && threads > 1) {
-      // Scheduler differential: the pipelined speculative scheduler must
-      // commit the exact same move stream as the barrier scheduler —
-      // speculation only changes WHEN probes run, never which moves win.
-      FlowOptions sopt = fopt;
-      sopt.opt.threads = threads;
-      sopt.opt.speculate = false;
-      const ModeRun barrier = run_mode(prepared, lib, mode, sopt);
-      if (blif_string(barrier.optimized) != blif_string(parallel.optimized)) {
-        return "speculate: speculative and barrier schedulers produced "
-               "different netlists";
-      }
-      if (barrier.result.swaps_committed != parallel.result.swaps_committed ||
-          barrier.result.resizes_committed != parallel.result.resizes_committed) {
-        return "speculate: speculative and barrier schedulers committed "
-               "different move counts";
       }
     }
 
@@ -275,7 +255,6 @@ FuzzResult run_fuzz(const FuzzOptions& options, std::ostream& log) {
                                                options.sat_crosscheck,
                                                options.paranoid_diff,
                                                options.extract_diff,
-                                               options.speculate_diff,
                                                options.timing_damp_diff);
     if (failure.empty()) {
       log << "[fuzz] iter " << iter << " mode " << mode_name << " ("
@@ -302,7 +281,6 @@ FuzzResult run_fuzz(const FuzzOptions& options, std::ostream& log) {
                                                options.threads, options.sat_crosscheck,
                                                options.paranoid_diff,
                                                options.extract_diff,
-                                               options.speculate_diff,
                                                options.timing_damp_diff);
         return !err.empty() && err.compare(0, f.kind.size(), f.kind) == 0;
       };
@@ -337,12 +315,6 @@ FuzzResult run_fuzz(const FuzzOptions& options, std::ostream& log) {
             << "       " << base << " --threads " << options.threads << " --out "
             << stem << "_tN.blif\n"
             << "       cmp " << stem << "_t1.blif " << stem << "_tN.blif\n";
-      } else if (f.kind == "speculate") {
-        txt << "repro: " << base << " --threads " << options.threads
-            << " --speculate --out " << stem << "_spec.blif\n"
-            << "       " << base << " --threads " << options.threads
-            << " --no-speculate --out " << stem << "_barrier.blif\n"
-            << "       cmp " << stem << "_spec.blif " << stem << "_barrier.blif\n";
       } else if (f.kind == "timing-damp" || f.kind == "timing-damp-diff") {
         txt << "repro: " << base << " --threads 1 --timing-damp-diff --out "
             << stem << "_damp.blif\n"

@@ -47,11 +47,6 @@ struct FuzzOptions {
   /// byte-identical to a full-rebuild-per-commit flow. Failures shrink to
   /// minimal reproducers like every other kind.
   bool extract_diff = false;
-  /// Speculation differential: additionally run the parallel flow with the
-  /// pipelined speculative scheduler disabled (the barrier scheduler) and
-  /// require a byte-identical netlist plus identical committed-move counts
-  /// — speculation may change when probes run, never which moves win.
-  bool speculate_diff = false;
   /// Timing-damping differential: run the flows with the Sta's damp-diff
   /// self-check armed (every damped probe propagation replayed undamped,
   /// per-probe PO-arrival equality asserted), and additionally require the
@@ -71,7 +66,7 @@ struct FuzzFailure {
   int iteration = 0;
   std::uint64_t circuit_seed = 0;
   std::string mode;        // optimizer mode under test
-  std::string kind;  // "equivalence" | "determinism" | "speculate" | ...
+  std::string kind;  // "equivalence" | "determinism" | ...
   std::string detail;
   std::string repro_path;  // minimized BLIF (empty if not written)
 };

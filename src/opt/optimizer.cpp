@@ -38,7 +38,6 @@ SchedulerOptions scheduler_options(const OptimizerOptions& o) {
   s.cone_depth = 2;
   s.seed = o.seed;
   s.delta_sync = o.delta_replica_sync;
-  s.speculate = o.speculate;
   s.timing_damp = o.timing_damp;
   s.session = o.session;
   return s;
@@ -102,22 +101,10 @@ class Optimizer {
       // slot's generation — only THOSE groups re-derive their candidate
       // pin sets. Clean supergates keep their cached swap groups across
       // phases and iterations (per-slot generation discipline).
-      // Each round hints the round that follows it (A -> B inside the
-      // iteration, B -> next iteration's A), so the spawned workers probe
-      // that next round speculatively while the main thread arbitrates.
-      // When a round commits nothing, the groups rebuild identically and
-      // the speculation is harvested as a hit; otherwise it is discarded
-      // and the round probes fresh — bit-identical either way.
-      const SpeculationHint hint_b{ProbePolicy::Relaxation, options_.min_gain};
-      const SpeculationHint hint_a{ProbePolicy::MinCritical, options_.min_gain};
-      const int committed_a =
-          scheduler_.run_round(build_groups(), ProbePolicy::MinCritical,
-                               options_.min_gain, &hint_b);
-      const int committed_b =
-          scheduler_.run_round(build_groups(), ProbePolicy::Relaxation,
-                               options_.min_gain,
-                               iter + 1 < options_.max_iterations ? &hint_a
-                                                                  : nullptr);
+      const int committed_a = scheduler_.run_round(
+          build_groups(), ProbePolicy::MinCritical, options_.min_gain);
+      const int committed_b = scheduler_.run_round(
+          build_groups(), ProbePolicy::Relaxation, options_.min_gain);
       const double now = sta_.critical_delay();
       log_info() << to_string(options_.mode) << " iter " << iter << ": delay " << now
                  << " ns (" << committed_a << " + " << committed_b << " moves)";
@@ -152,12 +139,6 @@ class Optimizer {
       result.seconds_finalize = finalize_timer.seconds();
     }
     result.seconds = timer.seconds();
-
-    // Join any still-in-flight speculation (a hint launched by the last
-    // round with no round after it to harvest) BEFORE reading counters:
-    // the drain folds the final per-context probe/sync windows into the
-    // engine and scheduler totals, keeping every counter below exact.
-    scheduler_.drain_speculation();
 
     const EngineStats& stats = engine_.stats();
     result.swaps_committed = stats.swaps_committed + stats.cross_sg_committed;
@@ -218,9 +199,6 @@ class Optimizer {
     result.sched_conflicted = sched.conflicted;
     result.sched_revalidation_rejects = sched.revalidation_rejects;
     result.sched_stale_cross_sg = sched.stale_cross_sg;
-    result.sched_speculative_probes = sched.speculative_probes;
-    result.sched_speculation_hits = sched.speculation_hits;
-    result.sched_speculation_wasted = sched.speculation_wasted;
     result.gain_hist = sched.gain_hist;
     result.proof_conflict_hist = engine_.proof_conflict_hist();
     result.seconds_groups = seconds_groups_;

@@ -88,14 +88,6 @@ struct OptimizerOptions {
   /// Off = the pre-delta full-clone path, kept as an A/B lever; the final
   /// netlist is bit-identical either way.
   bool delta_replica_sync = true;
-  /// Pipelined speculative rounds in the parallel scheduler (default on):
-  /// while the main thread arbitrates round N, the spawned workers probe
-  /// the next round's candidates against their replicas; the result is
-  /// reused only when provably identical to a fresh probe (same epoch, Sta
-  /// state version, policy and move list). Off = the barrier scheduler,
-  /// kept as an A/B lever; the final netlist is bit-identical either way.
-  /// Moot at threads == 1.
-  bool speculate = true;
   /// Slack-margin damped timing propagation (default on): probe-time STA
   /// re-propagation stops at gates whose arrival increase stays under a
   /// PO-seeded slack margin (refreshed per scheduler round), so probe cost
@@ -211,24 +203,17 @@ struct OptimizerResult {
   std::uint64_t gates_canonicalized = 0;
   std::uint64_t candidates_enumerated = 0;
   std::uint64_t pruned_groups_cached = 0;
-  /// Scheduler round/arbitration counters (merged across phases). These are
-  /// the commit-efficiency / probe-waste numbers speculative commit rounds
-  /// will be judged against: committed/accepted is the arbitration yield,
-  /// conflicted + revalidation_rejects + stale_cross_sg the wasted winners.
+  /// Scheduler round/arbitration counters (merged across phases):
+  /// committed/accepted is the arbitration yield, conflicted +
+  /// revalidation_rejects + stale_cross_sg the wasted winners.
   std::uint64_t sched_rounds = 0;
   std::uint64_t sched_accepted = 0;
   std::uint64_t sched_conflicted = 0;
   std::uint64_t sched_revalidation_rejects = 0;
   std::uint64_t sched_stale_cross_sg = 0;
-  /// Pipelined-speculation ledger: replica probes launched behind
-  /// arbitration, and speculated groups whose results were reused (hits)
-  /// vs discarded (wasted). hits / (hits + wasted) is the prediction
-  /// accuracy; all zero at --threads 1 or --no-speculate.
-  std::uint64_t sched_speculative_probes = 0;
-  std::uint64_t sched_speculation_hits = 0;
-  std::uint64_t sched_speculation_wasted = 0;
-  /// Distribution of committed-move critical gains (ns) and of per-proof
-  /// SAT conflict counts (paranoid only) — p50/p90/p99 in the flow summary.
+  /// Distribution of committed MinCritical/Relaxation gains (ns; FirstFit
+  /// area-recovery commits excluded) and of per-proof SAT conflict counts
+  /// (paranoid only) — p50/p90/p99 in the flow summary.
   Histogram gain_hist;
   Histogram proof_conflict_hist;
   /// Remaining phase buckets so `phases:` sums to `seconds`: group building

@@ -17,46 +17,6 @@ namespace {
 constexpr double kGainTie = 1e-12;
 // Tolerance for "does not degrade the critical delay" (phase B).
 constexpr double kCritSlack = 1e-9;
-
-/// Exact move identity, used to validate speculative results against the
-/// round actually being asked for. Generation stamps participate for
-/// CrossSg: a partition rebuild re-mints them, so regenerated candidates
-/// never compare equal to pre-rebuild speculation.
-bool moves_equal(const EngineMove& a, const EngineMove& b) {
-  if (a.kind != b.kind) return false;
-  switch (a.kind) {
-    case EngineMove::Kind::Swap: {
-      const SwapCandidate& x = a.swap_cand;
-      const SwapCandidate& y = b.swap_cand;
-      return x.sg_index == y.sg_index && x.pin_a == y.pin_a &&
-             x.pin_b == y.pin_b && x.polarity == y.polarity &&
-             x.leaf_swap == y.leaf_swap;
-    }
-    case EngineMove::Kind::Resize:
-      return a.gate == b.gate && a.new_cell == b.new_cell;
-    case EngineMove::Kind::CrossSg: {
-      const CrossSgCandidate& x = a.cross_cand;
-      const CrossSgCandidate& y = b.cross_cand;
-      return x.enclosing_sg == y.enclosing_sg && x.pin_a == y.pin_a &&
-             x.pin_b == y.pin_b && x.sg_a == y.sg_a && x.sg_b == y.sg_b &&
-             x.inverting == y.inverting && x.gen_enclosing == y.gen_enclosing &&
-             x.gen_a == y.gen_a && x.gen_b == y.gen_b;
-    }
-  }
-  return false;
-}
-
-bool groups_equal(std::span<const ProbeGroup> a,
-                  const std::vector<ProbeGroup>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t g = 0; g < a.size(); ++g) {
-    if (a[g].moves.size() != b[g].moves.size()) return false;
-    for (std::size_t i = 0; i < a[g].moves.size(); ++i) {
-      if (!moves_equal(a[g].moves[i], b[g].moves[i])) return false;
-    }
-  }
-  return true;
-}
 }  // namespace
 
 ParallelRewireScheduler::ParallelRewireScheduler(RewireEngine& engine,
@@ -85,17 +45,6 @@ ParallelRewireScheduler::ParallelRewireScheduler(RewireEngine& engine,
         std::make_unique<ProbeContext>(engine.lib(), options_.seed, w));
     contexts_.back()->set_delta_sync(options_.delta_sync);
     contexts_.back()->set_session(options_.session);
-  }
-}
-
-ParallelRewireScheduler::~ParallelRewireScheduler() {
-  // Join any in-flight speculation before members die: the async job reads
-  // contexts_ and the speculation buffers, which are destroyed before the
-  // pool's threads would otherwise be stopped. Destructors must not throw,
-  // so a speculative worker's exception dies here with the scheduler.
-  try {
-    drain_speculation();
-  } catch (...) {
   }
 }
 
@@ -175,23 +124,6 @@ GroupResult ParallelRewireScheduler::probe_group(RewireEngine& eng,
 
 std::vector<GroupResult> ParallelRewireScheduler::probe_round(
     std::span<const ProbeGroup> groups, ProbePolicy policy, double threshold) {
-  // Speculation harvest comes FIRST, unconditionally: an in-flight job must
-  // be joined before anything below touches the contexts, and a hit
-  // replaces the whole fan-out. The hit path still counts a round — the
-  // provenance ids minted in arbitration use stats_.rounds as their round
-  // coordinate, which must not depend on how the probes were obtained.
-  if (spec_active_) {
-    // The join wait (and the harvest itself) is probe time either way: on a
-    // miss it is the cost of the wasted fan-out, paid before the fresh one.
-    const Timer spec_timer;
-    std::vector<GroupResult> speculated;
-    const bool hit = harvest_speculation(groups, policy, threshold, speculated);
-    stats_.seconds_probe += spec_timer.seconds();
-    if (hit) {
-      ++stats_.rounds;
-      return speculated;
-    }
-  }
   std::vector<GroupResult> results(groups.size());
   if (groups.empty()) return results;
   const Timer round_timer;
@@ -349,153 +281,6 @@ std::uint64_t ParallelRewireScheduler::harvest_worker_counters() {
   return probes;
 }
 
-void ParallelRewireScheduler::begin_speculation(std::span<const ProbeGroup> groups,
-                                                const SpeculationHint& hint) {
-  if (!options_.speculate || pool_->workers() <= 1 || groups.empty()) return;
-  if (spec_active_) drain_speculation();  // callers pair launch/harvest; be safe
-  // Launch overhead (signatures, group copy, pre-sync) is probe time —
-  // phase accounting must keep summing to the optimize total.
-  const Timer launch_timer;
-
-  // Everything the async workers will read is prepared HERE, on the main
-  // thread, while the live engine is still quiescent: after begin_async
-  // returns, the caller arbitrates — mutating the live net/STA/partition —
-  // so workers must never touch `engine_` again until the join.
-  spec_policy_ = hint.policy;
-  spec_threshold_ = hint.threshold;
-  spec_epoch_ = engine_.epoch();
-  spec_sta_version_ = engine_.sta().state_version();
-  spec_base_critical_ = engine_.sta().critical_delay();
-  spec_base_sum_ = engine_.sta().sum_po_arrival();
-  spec_groups_.assign(groups.begin(), groups.end());
-
-  bool any_cross = false;
-  for (const ProbeGroup& g : spec_groups_) {
-    for (const EngineMove& m : g.moves) {
-      if (m.kind == EngineMove::Kind::CrossSg) {
-        any_cross = true;
-        break;
-      }
-    }
-    if (any_cross) break;
-  }
-  const GisgPartition* part = any_cross ? &engine_.partition() : nullptr;
-
-  spec_sigs_.assign(spec_groups_.size(), ConflictSignature{});
-  std::vector<std::uint64_t> weights(spec_groups_.size());
-  for (std::size_t g = 0; g < spec_groups_.size(); ++g) {
-    spec_sigs_[g] = group_signature(engine_.net(), part, spec_groups_[g].moves,
-                                    options_.cone_depth);
-    weights[g] = spec_groups_[g].moves.size();
-  }
-
-  // Only the SPAWNED workers speculate — worker 0 is the calling thread,
-  // about to arbitrate. Shard over workers-1 and map shard s -> worker
-  // s+1. Which worker probes a group never affects its result (replica
-  // purity), so this differing from the live round's sharding is
-  // load-balance-only.
-  const int spec_workers = pool_->workers() - 1;
-  const std::vector<int> shard_of = assign_shards(spec_sigs_, weights, spec_workers);
-  spec_shard_groups_.assign(static_cast<std::size_t>(pool_->workers()), {});
-  for (std::size_t g = 0; g < spec_groups_.size(); ++g) {
-    spec_shard_groups_[static_cast<std::size_t>(shard_of[g] + 1)].push_back(
-        static_cast<int>(g));
-  }
-  spec_results_.assign(spec_groups_.size(), GroupResult{});
-  spec_worker_probes_.assign(static_cast<std::size_t>(pool_->workers()), 0);
-
-  // Replicas must reflect the CURRENT live state before the async launch:
-  // sync() reads the live engine, which is about to be arbitrated on. In
-  // steady state this is a no-op (probe_round just synced every busy
-  // worker to this epoch).
-  for (int w = 1; w < pool_->workers(); ++w) {
-    if (spec_shard_groups_[static_cast<std::size_t>(w)].empty()) continue;
-    ProbeContext& ctx = *contexts_[static_cast<std::size_t>(w)];
-    if (!ctx.in_sync_with(engine_)) {
-      ctx.sync(engine_, any_cross);
-    }
-    if (any_cross && !ctx.partition_current(engine_)) {
-      ctx.adopt_partition_from(engine_);
-    }
-    // Speculative probes run damped too; a post-sync replica's margins are
-    // always stale, so refresh here on the main thread — the async workers
-    // must start with everything precomputed.
-    const Timer margin_timer;
-    ctx.engine().refresh_timing_margins();
-    stats_.seconds_timing += margin_timer.seconds();
-  }
-
-  spec_active_ = true;
-  pool_->begin_async([this](int w) {
-    // Same scoping as the round fan-out: speculative probes on a lent pool
-    // thread must record on this session's rings, tagged with this worker
-    // index.
-    SessionScope session_scope(*session_, w);
-    const std::vector<int>& mine = spec_shard_groups_[static_cast<std::size_t>(w)];
-    std::uint64_t my_probes = 0;
-    ProbeContext& ctx = *contexts_[static_cast<std::size_t>(w)];
-    for (const int g : mine) {
-      GroupResult& r = spec_results_[static_cast<std::size_t>(g)];
-      r = probe_group(ctx.engine(), ctx.scratch(), g,
-                      spec_groups_[static_cast<std::size_t>(g)], spec_policy_,
-                      spec_threshold_, spec_base_critical_, spec_base_sum_);
-      r.sig = std::move(spec_sigs_[static_cast<std::size_t>(g)]);
-      my_probes += static_cast<std::uint64_t>(r.probes);
-    }
-    spec_worker_probes_[static_cast<std::size_t>(w)] = my_probes;
-  });
-  stats_.seconds_probe += launch_timer.seconds();
-}
-
-bool ParallelRewireScheduler::harvest_speculation(
-    std::span<const ProbeGroup> groups, ProbePolicy policy, double threshold,
-    std::vector<GroupResult>& out) {
-  pool_->finish_async();
-  spec_active_ = false;
-  std::uint64_t spec_probes = 0;
-  for (const std::uint64_t p : spec_worker_probes_) spec_probes += p;
-  stats_.speculative_probes += spec_probes;
-
-  // Exact-match validation: a hit requires the round being asked for to be
-  // indistinguishable from the one speculated — same objective, same
-  // state, same candidates. The state checks (commit epoch + Sta state
-  // version) mean NOTHING changed that any probe could observe, so a hit's
-  // results are bit-identical to what this round would compute fresh.
-  const bool hit = policy == spec_policy_ && threshold == spec_threshold_ &&
-                   engine_.epoch() == spec_epoch_ &&
-                   engine_.sta().state_version() == spec_sta_version_ &&
-                   groups_equal(groups, spec_groups_);
-  if (!hit) {
-    stats_.speculation_wasted += spec_groups_.size();
-    // The wasted probes still moved per-context counters (probes, any
-    // pre-sync); absorb them so external stats never undercount — but do
-    // NOT fold them into worker_probes, which counts round work only.
-    (void)harvest_worker_counters();
-    return false;
-  }
-  stats_.speculation_hits += spec_groups_.size();
-  stats_.worker_probes += harvest_worker_counters();
-  for (int w = 0; w < pool_->workers(); ++w) {
-    probe_stats_.shard(w).add(
-        static_cast<double>(spec_worker_probes_[static_cast<std::size_t>(w)]));
-  }
-  out = std::move(spec_results_);
-  return true;
-}
-
-void ParallelRewireScheduler::drain_speculation() {
-  if (!spec_active_) return;
-  const Timer timer;
-  pool_->finish_async();
-  spec_active_ = false;
-  std::uint64_t spec_probes = 0;
-  for (const std::uint64_t p : spec_worker_probes_) spec_probes += p;
-  stats_.speculative_probes += spec_probes;
-  stats_.speculation_wasted += spec_groups_.size();
-  (void)harvest_worker_counters();
-  stats_.seconds_probe += timer.seconds();
-}
-
 int ParallelRewireScheduler::arbitrate_and_commit(
     std::vector<GroupResult> results, ProbePolicy policy, double threshold,
     std::span<const ProbeGroup> groups) {
@@ -637,7 +422,7 @@ int ParallelRewireScheduler::arbitrate_and_commit(
       ++committed;
       ++stats_.committed;
       committed_union.merge(r.sig);
-      stats_.gain_hist.add(live_gain);
+      if (policy != ProbePolicy::FirstFit) stats_.gain_hist.add(live_gain);
       prov.record(chosen_id, ProvenanceStage::Committed, live_gain);
       // Paranoid mode appends one verdict per proved Swap/CrossSg commit;
       // thread it onto the move's chain (resize commits append none).
@@ -667,13 +452,8 @@ int ParallelRewireScheduler::arbitrate_and_commit(
 }
 
 int ParallelRewireScheduler::run_round(std::span<const ProbeGroup> groups,
-                                       ProbePolicy policy, double threshold,
-                                       const SpeculationHint* next) {
+                                       ProbePolicy policy, double threshold) {
   std::vector<GroupResult> results = probe_round(groups, policy, threshold);
-  // Pipeline: launch the next round's speculative probes BEFORE the serial
-  // arbitration tail, so the spawned workers overlap it. Arbitration only
-  // mutates the live engine, which the speculating workers never read.
-  if (next != nullptr) begin_speculation(groups, *next);
   return arbitrate_and_commit(std::move(results), policy, threshold, groups);
 }
 

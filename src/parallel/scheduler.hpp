@@ -1,7 +1,8 @@
 // Parallel rewiring scheduler: conflict-sharded probe fan-out with
 // deterministic commit arbitration.
 //
-// One optimization round is a pipeline:
+// One optimization round is a barrier pipeline, shard -> probe -> barrier
+// -> arbitrate:
 //
 //   generate   — the caller (optimizer phase, bench) builds candidate
 //                GROUPS: one supergate's swaps, one gate's resizes. A round
@@ -17,6 +18,9 @@
 //                state and every probe is a pure function of (live state,
 //                move). Workers select the best move per group under the
 //                round's policy.
+//   barrier    — the round waits for every worker (ThreadPool::run), then
+//                folds the replica counters into the live engine. Nothing
+//                probes while the live engine is arbitrated and mutated.
 //   arbitrate  — accepted moves are ordered canonically (gain, then group
 //                index — a strict total order independent of worker count
 //                and scheduling), re-probed against the LIVE engine state
@@ -24,22 +28,10 @@
 //                pay. Commits are serial, on the one live engine, in that
 //                canonical order.
 //
-// Pipelined speculation (on by default, `--no-speculate` to disable):
-// arbitration is serial on the main thread, so between probe_round and
-// arbitrate_and_commit the caller may hand the scheduler a hint about the
-// NEXT round (policy + threshold). The spawned workers then probe the
-// current candidate groups under that hint against their already-synced
-// replicas WHILE the main thread arbitrates — overlapping the round
-// barrier's serial tail with useful work. At the next probe_round the
-// speculative results are harvested and reused ("hit") only when they are
-// provably identical to what that round would compute fresh: same policy,
-// same threshold, same commit epoch, same Sta state version, and the same
-// move list group-for-group. Any mismatch discards them ("wasted") and the
-// round probes normally. Because a hit means bit-identical inputs, and
-// because speculative workers never write provenance, scheduler stats, or
-// any live state, speculation can only change WHEN probes run — never
-// which moves win. The hit case is exactly the zero-commit round (epoch
-// unchanged), which every converging optimization run ends with.
+// threads == 1 is the same pipeline with N = 1: there is one shard, and it
+// is probed against the live engine directly instead of a replica (probes
+// are pure functions of state, so the results are identical without the
+// replica's clone/sync cost).
 //
 // Determinism guarantee: for a fixed candidate stream, the committed move
 // sequence — and therefore the final netlist, bit for bit — is identical
@@ -106,11 +98,6 @@ struct SchedulerOptions {
   /// O(dirty) replica delta sync (see ProbeContext::set_delta_sync). Off =
   /// every epoch re-clones the network — the pre-delta A/B reference.
   bool delta_sync = true;
-  /// Pipelined speculation: workers probe the next round's hinted policy
-  /// while the main thread arbitrates (see the file comment). Off = the
-  /// pre-pipelining barrier scheduler, the A/B reference for
-  /// `--no-speculate`. Moot at threads == 1 (no spawned workers).
-  bool speculate = true;
   /// Slack-margin damped probe propagation (objective-exact bounded-cone
   /// timing; see Sta::refresh_damping_margins). The scheduler refreshes
   /// margins at round granularity on the live engine and every replica.
@@ -125,15 +112,6 @@ struct SchedulerOptions {
   SessionContext* session = nullptr;
 };
 
-/// What the caller believes the NEXT round will ask for — the speculation
-/// target. Speculative results are only reused if the next round matches
-/// this hint exactly (and the live state did not move), so a wrong hint
-/// costs wasted replica probes, never correctness.
-struct SpeculationHint {
-  ProbePolicy policy = ProbePolicy::MinCritical;
-  double threshold = 0.0;
-};
-
 struct SchedulerStats {
   std::uint64_t rounds = 0;
   std::uint64_t worker_probes = 0;        // replica-side probe evaluations
@@ -143,14 +121,6 @@ struct SchedulerStats {
   std::uint64_t conflicted = 0;           // winners overlapping an earlier commit
   std::uint64_t revalidation_rejects = 0; // winners whose live gain evaporated
   std::uint64_t stale_cross_sg = 0;       // cross-sg winners dropped by epoch bump
-  // Pipelined-speculation ledger. speculative_probes counts replica probe
-  // evaluations launched behind arbitration; hits/wasted count candidate
-  // GROUPS whose speculative result was reused / discarded. hit + wasted
-  // group totals partition every speculated group, so
-  // hits / (hits + wasted) is the speculation accuracy.
-  std::uint64_t speculative_probes = 0;
-  std::uint64_t speculation_hits = 0;
-  std::uint64_t speculation_wasted = 0;
   // Phase wall times: probe_round (worker fan-out incl. replica sync),
   // arbitration overhead, and live commits (disjoint — arbitrate excludes
   // the commit time). Replica sync cost is broken out in `sync`;
@@ -161,8 +131,10 @@ struct SchedulerStats {
   double seconds_commit = 0.0;
   double seconds_timing = 0.0;
   ReplicaSyncStats sync;
-  /// Distribution of live-validated gains over committed moves (critical
-  /// gain for MinCritical/FirstFit rounds, sum-of-PO gain for Relaxation).
+  /// Distribution of live-validated gains over committed MinCritical
+  /// (critical gain) and Relaxation (sum-of-PO gain) moves. FirstFit
+  /// (area-recovery) commits are left out: they trade delay for area, so
+  /// their "gain" is usually <= 0 and would swamp the underflow bucket.
   /// Filled on the serial arbitration path only, so it is bit-identical for
   /// every worker count.
   Histogram gain_hist;
@@ -173,7 +145,6 @@ class ParallelRewireScheduler {
   /// `engine` is the live engine: probes replicate FROM it, commits go
   /// THROUGH it. It must outlive the scheduler.
   ParallelRewireScheduler(RewireEngine& engine, const SchedulerOptions& options);
-  ~ParallelRewireScheduler();
   ParallelRewireScheduler(const ParallelRewireScheduler&) = delete;
   ParallelRewireScheduler& operator=(const ParallelRewireScheduler&) = delete;
 
@@ -197,25 +168,9 @@ class ParallelRewireScheduler {
                            double threshold,
                            std::span<const ProbeGroup> groups = {});
 
-  /// probe_round + arbitrate_and_commit. When `next` is non-null (and
-  /// speculation is enabled), the spawned workers probe `groups` under the
-  /// hinted next-round policy WHILE arbitration runs on the calling
-  /// thread; the next probe_round harvests or discards the result.
+  /// probe_round + arbitrate_and_commit.
   int run_round(std::span<const ProbeGroup> groups, ProbePolicy policy,
-                double threshold, const SpeculationHint* next = nullptr);
-
-  /// Launch a speculative probe of `groups` under `hint` on the spawned
-  /// workers. Returns immediately; the calling thread is free to mutate
-  /// the live engine (workers only touch their replicas and the
-  /// scheduler-owned speculation buffers). No-op when speculation is off,
-  /// there are no spawned workers, or `groups` is empty.
-  void begin_speculation(std::span<const ProbeGroup> groups,
-                         const SpeculationHint& hint);
-
-  /// Join any in-flight speculation and discard its result (counted as
-  /// wasted). Must be called before reading stats from outside a round;
-  /// the destructor drains too.
-  void drain_speculation();
+                double threshold);
 
   const SchedulerStats& stats() const { return stats_; }
   /// Per-worker replica probe counts (merged on demand; workers quiescent
@@ -233,12 +188,6 @@ class ParallelRewireScheduler {
   /// the harvested window. Main thread only, workers quiescent.
   std::uint64_t harvest_worker_counters();
 
-  /// Join in-flight speculation and, if it matches the round being asked
-  /// for exactly, move its results into `out` (returns true). On any
-  /// mismatch the results are discarded as wasted (returns false).
-  bool harvest_speculation(std::span<const ProbeGroup> groups, ProbePolicy policy,
-                           double threshold, std::vector<GroupResult>& out);
-
   RewireEngine& engine_;
   SchedulerOptions options_;
   /// Never null: the configured session, or the process-default context.
@@ -251,25 +200,6 @@ class ParallelRewireScheduler {
   ProbeScratch serial_scratch_;  // single-worker fast path probes the live engine
   SchedulerStats stats_;
   ShardedStats probe_stats_;
-
-  // Speculation state, valid while spec_active_. Everything here is either
-  // written only by the main thread before begin_async / after
-  // finish_async, or written by exactly one spawned worker in its own
-  // disjoint slots (spec_results_, spec_worker_probes_) — no sharing.
-  bool spec_active_ = false;
-  ProbePolicy spec_policy_ = ProbePolicy::MinCritical;
-  double spec_threshold_ = 0.0;
-  std::uint64_t spec_epoch_ = 0;
-  std::uint64_t spec_sta_version_ = 0;
-  double spec_base_critical_ = 0.0;
-  double spec_base_sum_ = 0.0;
-  // Scheduler-owned copy of the speculated groups: the caller's storage
-  // (the optimizer's pooled group arena) is rebuilt while workers probe.
-  std::vector<ProbeGroup> spec_groups_;
-  std::vector<ConflictSignature> spec_sigs_;
-  std::vector<GroupResult> spec_results_;
-  std::vector<std::vector<int>> spec_shard_groups_;  // index = worker id
-  std::vector<std::uint64_t> spec_worker_probes_;    // index = worker id
 };
 
 }  // namespace rapids

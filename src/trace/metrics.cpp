@@ -164,7 +164,7 @@ void collect_flow_metrics(MetricsRegistry& reg, const OptimizerResult& r) {
   reg.add_counter("engine.candidates_enumerated", r.candidates_enumerated);
   reg.add_counter("engine.pruned_groups_cached", r.pruned_groups_cached);
 
-  // Scheduler round/arbitration counters — the speculation yardstick.
+  // Scheduler round/arbitration counters.
   reg.add_counter("scheduler.rounds", r.sched_rounds);
   reg.add_counter("scheduler.accepted", r.sched_accepted);
   reg.add_counter("scheduler.committed",
@@ -172,9 +172,11 @@ void collect_flow_metrics(MetricsRegistry& reg, const OptimizerResult& r) {
   reg.add_counter("scheduler.conflicted", r.sched_conflicted);
   reg.add_counter("scheduler.revalidation_rejects", r.sched_revalidation_rejects);
   reg.add_counter("scheduler.stale_cross_sg", r.sched_stale_cross_sg);
-  reg.add_counter("scheduler.speculative_probes", r.sched_speculative_probes);
-  reg.add_counter("scheduler.speculation_hits", r.sched_speculation_hits);
-  reg.add_counter("scheduler.speculation_wasted", r.sched_speculation_wasted);
+  // Pipelined speculation is retired; these stay registered as constant 0
+  // because perfbench/run.py's traced reader indexes them.
+  reg.add_counter("scheduler.speculative_probes", 0);
+  reg.add_counter("scheduler.speculation_hits", 0);
+  reg.add_counter("scheduler.speculation_wasted", 0);
 
   // Timing propagation shape — the damping yardstick: gates_propagated /
   // probes is the per-probe cost the slack-margin cutoff exists to flatten.

@@ -55,34 +55,6 @@ void ThreadPool::worker_loop(int worker) {
   }
 }
 
-void ThreadPool::begin_async(std::function<void(int)> fn) {
-  if (workers_ == 1) return;  // no spawned workers to hand the job to
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    async_job_ = std::move(fn);
-    job_ = &async_job_;
-    remaining_ = workers_ - 1;
-    std::fill(errors_.begin(), errors_.end(), std::exception_ptr{});
-    ++generation_;
-  }
-  async_active_ = true;
-  start_cv_.notify_all();
-}
-
-void ThreadPool::finish_async() {
-  if (!async_active_) return;
-  async_active_ = false;
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    done_cv_.wait(lock, [&] { return remaining_ == 0; });
-    job_ = nullptr;
-    async_job_ = nullptr;
-  }
-  for (const std::exception_ptr& e : errors_) {
-    if (e) std::rethrow_exception(e);
-  }
-}
-
 void ThreadPool::run(const std::function<void(int)>& fn) {
   if (workers_ == 1) {
     const WorkerIdScope scope(0);

@@ -39,23 +39,6 @@ class ThreadPool {
   /// all workers finished.
   void run(const std::function<void(int)>& fn);
 
-  /// Launch fn(w) on the SPAWNED workers only (w in [1, workers())) and
-  /// return immediately — the calling thread stays free to do other work
-  /// (the scheduler arbitrates round N while workers probe round N+1).
-  /// The job is stored by value so the caller's copy may go out of scope.
-  /// A pool of size 1 has no spawned workers: begin_async is a no-op and
-  /// finish_async returns immediately, preserving the serial reference
-  /// point. At most one async job may be in flight; callers must
-  /// finish_async() before the next begin_async() or run().
-  void begin_async(std::function<void(int)> fn);
-
-  /// Block until the in-flight async job (if any) finished on every
-  /// spawned worker, then rethrow the first exception by worker index.
-  void finish_async();
-
-  /// True between begin_async() and the matching finish_async().
-  bool async_active() const { return async_active_; }
-
   /// Hardware concurrency with a sane floor (std::thread reports 0 when
   /// unknown).
   static int hardware_threads();
@@ -70,8 +53,6 @@ class ThreadPool {
   std::condition_variable start_cv_;
   std::condition_variable done_cv_;
   const std::function<void(int)>* job_ = nullptr;
-  std::function<void(int)> async_job_;
-  bool async_active_ = false;
   std::uint64_t generation_ = 0;
   int remaining_ = 0;
   bool stop_ = false;

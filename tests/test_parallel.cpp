@@ -1,17 +1,22 @@
 // Parallel rewiring scheduler: conflict detector (overlapping vs disjoint
-// cones, cross-supergate moves spanning shards), thread pool, RNG
-// substreams, sharded stats, replica probe equivalence, and the headline
-// guarantee — `threads N` produces bit-identical netlists to `threads 1`.
+// cones, cross-supergate moves spanning shards, weight-balanced sharding),
+// thread pool, RNG substreams, sharded stats, replica probe equivalence,
+// replica staleness predicates and exact sync counters, the committed-gain
+// histogram, and the headline guarantee — threads {1,2,4} produce
+// byte-identical netlists and identical provenance commit chains.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <sstream>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "engine/rewire_engine.hpp"
 #include "flow/flow.hpp"
+#include "gen/large.hpp"
 #include "io/blif_writer.hpp"
 #include "netlist/builder.hpp"
 #include "parallel/conflict.hpp"
@@ -23,6 +28,7 @@
 #include "sym/symmetry.hpp"
 #include "test_helpers.hpp"
 #include "timing/sta.hpp"
+#include "trace/provenance.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/thread_pool.hpp"
@@ -227,7 +233,65 @@ TEST(Conflict, CrossSgSignatureSpansBothSupergates) {
   EXPECT_EQ(shard[1], shard[2]);
 }
 
+// --- weight-balanced conflict sharding ---------------------------------------
+
+TEST(Conflict, WeightedSplitBalancesCandidateWeightNotGroupCount) {
+  // One oversized component (8 groups chained through gate 0) where group 0
+  // carries nearly all the probe weight. Count-based dealing would put 4
+  // groups — including the heavy one — on one shard (103 vs 4 probes, the
+  // c1908 skew in miniature). Weight-based dealing isolates the heavy group.
+  std::vector<ConflictSignature> sigs(8);
+  for (int g = 0; g < 8; ++g) {
+    sigs[static_cast<std::size_t>(g)].touched = {0u, static_cast<GateId>(g + 1)};
+  }
+  std::vector<std::uint64_t> weights = {100, 1, 1, 1, 1, 1, 1, 1};
+  const std::vector<int> shard = assign_shards(sigs, weights, 2);
+  for (int g = 2; g < 8; ++g) EXPECT_EQ(shard[static_cast<std::size_t>(g)], shard[1]);
+  EXPECT_NE(shard[0], shard[1]);
+  std::vector<std::uint64_t> load(2, 0);
+  for (int g = 0; g < 8; ++g) {
+    load[static_cast<std::size_t>(shard[static_cast<std::size_t>(g)])] +=
+        weights[static_cast<std::size_t>(g)];
+  }
+  EXPECT_EQ(std::max(load[0], load[1]), 100u);  // heavy group alone, not 103
+  // Deterministic.
+  EXPECT_EQ(shard, assign_shards(sigs, weights, 2));
+}
+
+TEST(Conflict, WeightedAtomicComponentsLandOnLeastWeightedShard) {
+  // Four singleton components, one heavy. Dealing in group-index order onto
+  // the least-weighted shard must pack the three light ones opposite the
+  // heavy one instead of alternating by count.
+  std::vector<ConflictSignature> sigs(4);
+  for (int g = 0; g < 4; ++g) {
+    sigs[static_cast<std::size_t>(g)].touched = {static_cast<GateId>(10 * (g + 1))};
+  }
+  const std::vector<std::uint64_t> weights = {50, 1, 1, 1};
+  const std::vector<int> shard = assign_shards(sigs, weights, 2);
+  EXPECT_EQ(shard[1], shard[2]);
+  EXPECT_EQ(shard[2], shard[3]);
+  EXPECT_NE(shard[0], shard[1]);
+}
+
+TEST(Conflict, UnitWeightsReproduceCountBasedSharding) {
+  // The weighted rule with all-ones weights must reduce exactly to the
+  // historical count rule — including the 10/10/10/10 oversized split the
+  // older Conflict tests pin down.
+  std::vector<ConflictSignature> sigs(40);
+  for (int g = 0; g < 40; ++g) {
+    sigs[static_cast<std::size_t>(g)].touched = {0u, static_cast<GateId>(g + 1)};
+  }
+  const std::vector<std::uint64_t> ones(40, 1);
+  EXPECT_EQ(assign_shards(sigs, ones, 4), assign_shards(sigs, 4));
+}
+
 // --- replica probing ---------------------------------------------------------
+
+std::string blif_of(const Network& net) {
+  std::ostringstream os;
+  write_blif(net, os, "determinism");
+  return os.str();
+}
 
 TEST(ProbeContext, ReplicaProbesMatchLiveEngine) {
   Network net = testing::mapped(testing::random_mapped_network(99));
@@ -268,13 +332,161 @@ TEST(ProbeContext, ReplicaProbesMatchLiveEngine) {
   EXPECT_EQ(ctx.take_stats().probes, 0u);
 }
 
-// --- scheduler ---------------------------------------------------------------
+// --- replica staleness predicates (late-adopt regressions) -------------------
 
-std::string blif_of(const Network& net) {
-  std::ostringstream os;
-  write_blif(net, os, "determinism");
-  return os.str();
+struct LiveFixture {
+  Network net;
+  Placement pl;
+  Sta sta;
+  RewireEngine engine;
+
+  explicit LiveFixture(std::uint64_t seed)
+      : net(testing::mapped(testing::random_mapped_network(seed))),
+        pl(make_placement(net)),
+        sta(net, lib035(), pl),
+        engine(net, pl, lib035(), sta) {}
+
+ private:
+  Placement make_placement(const Network& n) {
+    PlacerOptions popt;
+    popt.effort = 1.0;
+    popt.num_temps = 4;
+    return place(n, lib035(), popt);
+  }
+};
+
+TEST(ProbeContextSync, RunFullInsideEpochBreaksInSyncWith) {
+  // Regression: an out-of-band run_full (journal restart) rebuilds the live
+  // timing state WITHOUT advancing the commit epoch. A replica adopted
+  // before it passes the bare epoch check but holds pre-restart arrivals —
+  // the trap the scheduler's old skip-sync fast path fell into.
+  LiveFixture f(90125);
+  ProbeContext ctx(lib035(), 1, 0);
+  ctx.sync(f.engine);
+  EXPECT_TRUE(ctx.in_sync_with(f.engine));
+
+  f.sta.run_full();
+  EXPECT_TRUE(ctx.synced_to(f.engine.epoch()));  // epoch alone says "fresh"
+  EXPECT_FALSE(ctx.in_sync_with(f.engine));      // state version says stale
+
+  ctx.sync(f.engine);  // must fall back to the full path and land bit-exact
+  EXPECT_TRUE(ctx.in_sync_with(f.engine));
+  EXPECT_EQ(blif_of(ctx.replica_net()), blif_of(f.net));
+  EXPECT_EQ(ctx.replica_sta().critical_delay(), f.sta.critical_delay());
 }
+
+TEST(ProbeContextSync, PartitionRebuildInsideEpochDetectedByGeneration) {
+  // Regression: invalidate_partition() + a rebuild renumbers supergate
+  // slots and re-mints generation stamps without advancing the commit
+  // epoch. A replica that adopted before the rebuild would resolve CrossSg
+  // slots against stale numbering; partition_adopted() alone cannot see it.
+  LiveFixture f(4242);
+  ProbeContext ctx(lib035(), 1, 0);
+  ctx.sync(f.engine, /*with_partition=*/true);
+  EXPECT_TRUE(ctx.partition_adopted());
+  EXPECT_TRUE(ctx.partition_current(f.engine));
+
+  const std::uint64_t gen_before = f.engine.partition().generation;
+  f.engine.invalidate_partition();
+  const std::uint64_t gen_after = f.engine.partition().generation;  // rebuilds
+  EXPECT_GT(gen_after, gen_before);  // monotone stamp — never reset
+
+  // Same epoch, same STA: the replica still *looks* synced...
+  EXPECT_TRUE(ctx.in_sync_with(f.engine));
+  // ...but its adopted partition is provably stale.
+  EXPECT_TRUE(ctx.partition_adopted());
+  EXPECT_FALSE(ctx.partition_current(f.engine));
+
+  ctx.adopt_partition_from(f.engine);
+  EXPECT_TRUE(ctx.partition_current(f.engine));
+}
+
+TEST(ProbeContextSync, SameEpochRepeatSyncReadoptsRebuiltPartition) {
+  // The sync() delta path itself must re-adopt on a stale generation, not
+  // just on a missing adoption: a repeat sync in the same epoch after a
+  // live rebuild used to keep the pre-rebuild slot bookkeeping.
+  LiveFixture f(777);
+  ProbeContext ctx(lib035(), 1, 0);
+  ctx.sync(f.engine, /*with_partition=*/true);
+
+  // Advance one epoch so the journal is live, then sync onto it.
+  const std::vector<SwapCandidate> cands =
+      enumerate_all_swaps(f.engine.partition(), f.net);
+  ASSERT_FALSE(cands.empty());
+  f.engine.commit(EngineMove::swap(cands[0]));
+  ctx.sync(f.engine, /*with_partition=*/true);
+  EXPECT_TRUE(ctx.partition_current(f.engine));
+
+  // Mid-epoch rebuild; the repeat same-epoch sync must notice and re-adopt.
+  f.engine.invalidate_partition();
+  (void)f.engine.partition();
+  EXPECT_FALSE(ctx.partition_current(f.engine));
+  ctx.sync(f.engine, /*with_partition=*/true);
+  EXPECT_TRUE(ctx.partition_current(f.engine));
+}
+
+// --- exact replica-sync counters ---------------------------------------------
+
+TEST(ProbeContextSync, SyncCountersAreExactOnHandCountedTrace) {
+  // Every counter in ReplicaSyncStats is checked against a hand-counted
+  // trace: delta_syncs counts exactly the epoch-advancing journal replays,
+  // delta_commits exactly the commit epochs those replays spanned, and
+  // full_syncs exactly the clone-path syncs. Same-epoch repeat calls are
+  // no-ops and must not inflate anything — the metrics-json contract.
+  LiveFixture f(4242);
+  ProbeContext ctx(lib035(), 1, 0);
+
+  const auto commit_some = [&](int want) {
+    int done = 0;
+    for (int round = 0; round < 8 && done < want; ++round) {
+      const std::vector<SwapCandidate> cands =
+          enumerate_all_swaps(f.engine.partition(), f.net);
+      if (cands.empty()) break;
+      f.engine.commit(EngineMove::swap(
+          cands[static_cast<std::size_t>(done) % cands.size()]));
+      ++done;
+    }
+    return done;
+  };
+
+  ctx.sync(f.engine);  // full #1 (initial clone)
+
+  const int span1 = commit_some(2);
+  ASSERT_GE(span1, 1);
+  ctx.sync(f.engine);  // delta #1, spans span1 commits
+  ctx.sync(f.engine);  // same-epoch repeat: no-op, counts nothing
+  ctx.sync(f.engine);  // same-epoch repeat: no-op, counts nothing
+
+  const int span2 = commit_some(3);
+  ASSERT_GE(span2, 1);
+  ctx.sync(f.engine);  // delta #2, spans span2 commits
+
+  f.sta.run_full();    // out-of-band: journal restart for this replica
+  ctx.sync(f.engine);  // full #2 (state-version fallback, same epoch)
+
+  const int span3 = commit_some(1);
+  ASSERT_GE(span3, 1);
+  ctx.sync(f.engine);  // delta #3, spans span3 commits
+
+  f.engine.invalidate_partition();  // kills the sync journal too
+  (void)f.engine.partition();
+  ctx.sync(f.engine);  // full #3 (journal unavailable, same epoch)
+
+  const ReplicaSyncStats s = ctx.take_sync_stats();
+  EXPECT_EQ(s.syncs, 8u);
+  EXPECT_EQ(s.full_syncs, 3u);
+  EXPECT_EQ(s.delta_syncs, 3u);
+  EXPECT_EQ(s.delta_commits,
+            static_cast<std::uint64_t>(span1 + span2 + span3));
+  EXPECT_GT(s.bytes_full, 0u);
+  EXPECT_GT(s.bytes_delta, 0u);
+
+  // And the replica is still bit-exact after the whole obstacle course.
+  EXPECT_EQ(blif_of(ctx.replica_net()), blif_of(f.net));
+  EXPECT_EQ(ctx.replica_sta().critical_delay(), f.sta.critical_delay());
+}
+
+// --- scheduler ---------------------------------------------------------------
 
 TEST(SchedulerDeterminism, ThreadCountsProduceIdenticalNetlists) {
   // The headline guarantee on real circuits, end to end through the flow:
@@ -344,6 +556,124 @@ TEST(Scheduler, RoundCommitsImproveOrHold) {
   EXPECT_EQ(sched.stats().committed, static_cast<std::uint64_t>(committed));
   EXPECT_GE(sched.stats().worker_probes, sched.stats().accepted);
   EXPECT_GT(sched.stats().rounds, 0u);
+}
+
+
+TEST(Scheduler, GainHistogramCountsOnlyTimingCommits) {
+  // hist.probe_gain_ns describes delay-improving commits: MinCritical and
+  // Relaxation live gains. Area recovery (the flow's last round, FirstFit)
+  // trades delay for area, so its commits stay out of the histogram.
+  FlowOptions base;
+  base.placer.effort = 1.0;
+  base.placer.num_temps = 4;
+  base.opt.max_iterations = 2;
+  base.verify = false;
+  const PreparedCircuit prepared = prepare_benchmark("c432", lib035(), base);
+  for (const int threads : {1, 4}) {
+    FlowOptions o = base;
+    o.opt.threads = threads;
+    ProvenanceLog::instance().enable();  // enable() resets the record stream
+    const ModeRun run = run_mode(prepared, lib035(), OptMode::GsgPlusGS, o);
+    std::int64_t committed = 0;
+    std::int64_t first_fit = 0;
+    for (const ProvenanceRecord& rec : ProvenanceLog::instance().records()) {
+      if (rec.stage != ProvenanceStage::Committed) continue;
+      ++committed;
+      if (move_id_round(rec.move_id) == run.result.sched_rounds) ++first_fit;
+    }
+    ProvenanceLog::instance().disable();
+    EXPECT_EQ(committed, run.result.swaps_committed + run.result.resizes_committed)
+        << "threads=" << threads;
+    EXPECT_GT(first_fit, 0) << "threads=" << threads;  // area recovery ran
+    EXPECT_GT(committed - first_fit, 0) << "threads=" << threads;
+    EXPECT_EQ(run.result.gain_hist.count(), committed - first_fit)
+        << "threads=" << threads;
+    EXPECT_GT(run.result.gain_hist.p50(), 0.0) << "threads=" << threads;
+  }
+}
+
+// --- flow-level determinism: the thread-count matrix -------------------------
+
+struct ThreadRun {
+  std::string blif;
+  std::vector<std::pair<std::uint64_t, double>> commits;  // (move_id, gain)
+  int chains = 0;
+  double final_delay = 0.0;
+};
+
+ThreadRun run_threads(const PreparedCircuit& prepared, const FlowOptions& base,
+                      int threads) {
+  FlowOptions o = base;
+  o.opt.threads = threads;
+  ProvenanceLog::instance().enable();  // enable() resets the record stream
+  const ModeRun run = run_mode(prepared, lib035(), OptMode::GsgPlusGS, o);
+  ThreadRun out;
+  std::string diag;
+  out.chains = ProvenanceLog::instance().resolve_committed_chains(&diag);
+  for (const ProvenanceRecord& rec : ProvenanceLog::instance().records()) {
+    if (rec.stage == ProvenanceStage::Committed) {
+      out.commits.emplace_back(rec.move_id, rec.gain);
+    }
+  }
+  ProvenanceLog::instance().disable();
+  out.blif = blif_of(run.optimized);
+  out.final_delay = run.result.final_delay;
+  return out;
+}
+
+void expect_thread_count_identity(const char* name, const PreparedCircuit& prepared,
+                                  const FlowOptions& base) {
+  const ThreadRun ref = run_threads(prepared, base, 1);
+  ASSERT_FALSE(ref.blif.empty()) << name;
+  for (const int threads : {2, 4}) {
+    const ThreadRun r = run_threads(prepared, base, threads);
+    const std::string cfg = std::string(name) + " threads=" + std::to_string(threads);
+    // Byte-identical netlist...
+    EXPECT_EQ(ref.blif, r.blif) << cfg;
+    // ...and an identical committed-move provenance chain: same move
+    // coordinates (round/group/move), same live gains, same order.
+    EXPECT_EQ(ref.commits, r.commits) << cfg;
+    EXPECT_EQ(ref.chains, r.chains) << cfg;
+    EXPECT_EQ(ref.final_delay, r.final_delay) << cfg;
+  }
+}
+
+FlowOptions matrix_options(int max_iterations) {
+  FlowOptions base;
+  base.placer.effort = 1.0;
+  base.placer.num_temps = 4;
+  base.opt.max_iterations = max_iterations;
+  base.verify = false;
+  return base;
+}
+
+TEST(SchedulerDeterminism, ThreadMatrixIdenticalOnSmallBenchmarks) {
+  const FlowOptions base = matrix_options(2);
+  for (const char* name : {"alu2", "c432"}) {
+    const PreparedCircuit prepared = prepare_benchmark(name, lib035(), base);
+    expect_thread_count_identity(name, prepared, base);
+  }
+}
+
+TEST(SchedulerDeterminismSlow, ThreadMatrixIdenticalOnLargeBenchmarks) {
+  const FlowOptions base = matrix_options(2);
+  for (const char* name : {"c499", "c6288"}) {
+    const PreparedCircuit prepared = prepare_benchmark(name, lib035(), base);
+    expect_thread_count_identity(name, prepared, base);
+  }
+}
+
+TEST(SchedulerDeterminismSlow, ThreadMatrixIdenticalOnGeneratedCircuit) {
+  // A generated circuit large enough that epochs recycle gate ids and the
+  // partition is incrementally maintained across many rounds.
+  LargeCircuitOptions lopt;
+  lopt.target_gates = 10000;
+  lopt.seed = 8;
+  lopt.num_inputs = 96;
+  const Network src = make_large_circuit(lopt);
+  const FlowOptions base = matrix_options(1);
+  const PreparedCircuit prepared = prepare_circuit("gen10000", src, lib035(), base);
+  expect_thread_count_identity("gen10000", prepared, base);
 }
 
 }  // namespace

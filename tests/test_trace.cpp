@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -20,6 +21,7 @@
 #include "util/assert.hpp"
 #include "util/json_lite.hpp"
 #include "util/log.hpp"
+#include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/thread_pool.hpp"
 #include "test_helpers.hpp"
@@ -44,6 +46,32 @@ TEST(Histogram, PercentilesOnUniformData) {
   // Percentiles are clamped to the observed range.
   EXPECT_GE(h.p50(), h.stats().min());
   EXPECT_LE(h.p99(), h.stats().max());
+}
+
+TEST(Histogram, PercentilesMatchSortedSampleOracle) {
+  // Positive samples spread over six decades. The estimate for quantile q
+  // is the midpoint of the bucket holding the sample of rank ceil(q * n),
+  // so it must sit within one bucket width (in log space) of that sample.
+  Histogram h;  // default config: the one the flow's gain histogram uses
+  std::vector<double> samples;
+  Rng rng(2024);
+  for (int i = 0; i < 5000; ++i) {
+    const double x = std::pow(10.0, rng.next_double() * 6.0 - 4.0);  // 1e-4..1e2
+    samples.push_back(x);
+    h.add(x);
+  }
+  std::sort(samples.begin(), samples.end());
+  const double log_bucket = (std::log(h.hi()) - std::log(h.lo())) / h.buckets();
+  for (const double q : {0.50, 0.90, 0.99}) {
+    const auto rank = static_cast<std::size_t>(
+        std::ceil(q * static_cast<double>(samples.size())));
+    const double oracle = samples[rank - 1];
+    EXPECT_LE(std::abs(std::log(h.percentile(q)) - std::log(oracle)), log_bucket)
+        << "q=" << q << " estimate=" << h.percentile(q) << " oracle=" << oracle;
+  }
+  EXPECT_EQ(h.p50(), h.percentile(0.50));
+  EXPECT_EQ(h.p90(), h.percentile(0.90));
+  EXPECT_EQ(h.p99(), h.percentile(0.99));
 }
 
 TEST(Histogram, UnderflowAndOverflowClampToObservedExtremes) {

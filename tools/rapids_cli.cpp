@@ -6,8 +6,7 @@
 //          [--out out.blif] [--place-out placement.txt] [--no-verify]
 //          [--sat-verify] [--paranoid] [--sat-session|--no-sat-session]
 //          [--no-incremental] [--extract-diff] [--no-delta-sync]
-//          [--speculate|--no-speculate] [--no-prune-cache]
-//          [--no-timing-damp] [--timing-damp-diff]
+//          [--no-prune-cache] [--no-timing-damp] [--timing-damp-diff]
 //          [--trace out.json] [--metrics-json out.json]
 //          [--provenance out.json]
 //       Map, place, optimize and report; optionally write results.
@@ -24,13 +23,12 @@
 //       --extract-diff cross-checks the incremental partition against a
 //       fresh full extraction after every commit (slow; self-check).
 //       --no-delta-sync re-clones probe replicas every epoch instead of
-//       shipping O(dirty) deltas; --no-speculate disables the pipelined
-//       speculative rounds (workers probing the next round behind the
-//       serial arbiter); --no-prune-cache re-enumerates pruned swap lists
-//       every phase; --no-timing-damp propagates every probe's full fanout
-//       cone instead of stopping at the slack-margin cutoff. All are A/B
-//       levers: same netlist. --timing-damp-diff replays every damped
-//       probe undamped and aborts if any PO arrival moves (self-check).
+//       shipping O(dirty) deltas; --no-prune-cache re-enumerates pruned
+//       swap lists every phase; --no-timing-damp propagates every probe's
+//       full fanout cone instead of stopping at the slack-margin cutoff.
+//       All are A/B levers: same netlist. --timing-damp-diff replays every
+//       damped probe undamped and aborts if any PO arrival moves
+//       (self-check).
 //       --trace writes a Chrome trace-event JSON of the run (one track per
 //       probe worker; load in Perfetto or chrome://tracing), --metrics-json
 //       a machine-readable counter/gauge/histogram snapshot, --provenance
@@ -62,17 +60,14 @@
 //
 //   rapids fuzz [--seed N] [--iters N] [--threads N] [--max-gates N]
 //          [--max-inputs N] [--no-sat] [--paranoid-diff] [--extract-diff]
-//          [--speculate-diff] [--timing-damp-diff] [--no-shrink]
-//          [--out-dir DIR]
+//          [--timing-damp-diff] [--no-shrink] [--out-dir DIR]
 //       Differential fuzzing: random circuits through the full flow at
 //       --threads 1 vs N and across optimizer modes, cross-checked by
 //       random vectors + SAT. --paranoid-diff additionally cross-checks
 //       the incremental proof session against the per-move solver,
 //       move-for-move; --extract-diff cross-checks incremental partition
 //       maintenance against full re-extraction after every committed move
-//       (partition canonical equality + netlist parity); --speculate-diff
-//       cross-checks the pipelined speculative scheduler against the
-//       barrier scheduler (same committed moves, same netlist);
+//       (partition canonical equality + netlist parity);
 //       --timing-damp-diff cross-checks slack-margin damped propagation
 //       against full-cone propagation (per-probe PO-arrival equality plus
 //       whole-flow netlist parity). Failures shrink to minimal
@@ -221,10 +216,6 @@ int cmd_flow(const std::vector<std::string>& args) {
       options.opt.extract_diff = true;
     } else if (a == "--no-delta-sync") {
       options.opt.delta_replica_sync = false;
-    } else if (a == "--speculate") {
-      options.opt.speculate = true;  // the default; kept as an explicit flag
-    } else if (a == "--no-speculate") {
-      options.opt.speculate = false;
     } else if (a == "--no-prune-cache") {
       options.opt.prune_cache = false;
     } else if (a == "--no-timing-damp") {
@@ -315,16 +306,6 @@ int cmd_flow(const std::vector<std::string>& args) {
                       : 0.0)
               << "%), " << r.damp_fallbacks << " undamped replays, "
               << r.margin_refreshes << " margin refreshes\n";
-  }
-  if (r.sched_speculation_hits + r.sched_speculation_wasted > 0) {
-    const double total = static_cast<double>(r.sched_speculation_hits +
-                                             r.sched_speculation_wasted);
-    std::cout << "speculation: " << r.sched_speculative_probes
-              << " probes behind arbitration, " << r.sched_speculation_hits
-              << " group results reused / " << r.sched_speculation_wasted
-              << " wasted ("
-              << 100.0 * static_cast<double>(r.sched_speculation_hits) / total
-              << "% hit)\n";
   }
   if (options.opt.paranoid) {
     std::cout << "paranoid: " << r.moves_proved
@@ -553,8 +534,6 @@ int cmd_fuzz(const std::vector<std::string>& args) {
       options.paranoid_diff = true;
     } else if (a == "--extract-diff") {
       options.extract_diff = true;
-    } else if (a == "--speculate-diff") {
-      options.speculate_diff = true;
     } else if (a == "--timing-damp-diff") {
       options.timing_damp_diff = true;
     } else if (a == "--no-shrink") {
