@@ -29,6 +29,7 @@
 #include "library/cell_library.hpp"
 #include "mapping/mapper.hpp"
 #include "parallel/scheduler.hpp"
+#include "session/session.hpp"
 #include "place/placer.hpp"
 #include "sym/gisg.hpp"
 #include "sym/symmetry.hpp"
@@ -106,9 +107,10 @@ CircuitReport measure(const std::string& name, const CellLibrary& lib,
         if (!g.moves.empty()) groups.push_back(std::move(g));
       }
     }
+    SessionContext session("default");
     SchedulerOptions sopt;
     sopt.threads = threads;
-    ParallelRewireScheduler sched(engine, sopt);
+    ParallelRewireScheduler sched(engine, session, sopt);
     Timer t;
     const std::uint64_t before = sched.stats().worker_probes;
     do {

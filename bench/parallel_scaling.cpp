@@ -31,6 +31,7 @@
 #include "mapping/mapper.hpp"
 #include "opt/optimizer.hpp"
 #include "parallel/scheduler.hpp"
+#include "session/session.hpp"
 #include "place/placer.hpp"
 #include "rewire/swap.hpp"
 #include "sizing/sizing.hpp"
@@ -164,9 +165,10 @@ CircuitReport measure(const std::string& name, const CellLibrary& lib,
     Sta sta(net, lib, pl);
     RewireEngine engine(net, pl, lib, sta);
     const std::vector<ProbeGroup> groups = build_groups(engine, lib);
+    SessionContext session("default");
     SchedulerOptions sopt;
     sopt.threads = threads;
-    ParallelRewireScheduler sched(engine, sopt);
+    ParallelRewireScheduler sched(engine, session, sopt);
 
     ThreadPoint pt;
     pt.threads = threads;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "session/session.hpp"
 #include "trace/trace.hpp"
 #include "util/assert.hpp"
 #include "util/log.hpp"
@@ -62,20 +61,16 @@ void RewireEngine::refresh_timing_margins() {
 
 RewireEngine::~RewireEngine() { net_.set_id_recycling(prev_recycling_); }
 
-void RewireEngine::set_session(SessionContext* ctx) {
-  ctx_ = ctx;
-  // A prover built before the session was wired would keep emitting on the
-  // old tracer; re-point it.
-  if (session_) session_->set_tracer(ctx_ != nullptr ? &ctx_->tracer() : nullptr);
-}
-
-Tracer& RewireEngine::span_tracer() const {
-  return ctx_ != nullptr ? ctx_->tracer() : current_tracer();
+void RewireEngine::set_tracer(Tracer* tracer) {
+  tracer_ = tracer;
+  // A prover built before the tracer was wired would keep emitting on the
+  // old one; re-point it.
+  if (session_) session_->set_tracer(tracer_);
 }
 
 const GisgPartition& RewireEngine::partition() {
   if (!partition_valid_) {
-    TraceSpan extract_span(span_tracer(), "extract", "extract_full");
+    TraceSpan extract_span(tracer_, "extract", "extract_full");
     // Probe undo restores fanout SETS, not their order; full extraction's
     // reverse-topological walk iterates fanouts, so without this
     // normalization the supergate indexing — and with it the scheduler's
@@ -90,7 +85,7 @@ const GisgPartition& RewireEngine::partition() {
     pending_dirty_.clear();
     ++pstats_.full_rebuilds;
   } else if (!pending_dirty_.empty()) {
-    TraceSpan extract_span(span_tracer(), "extract", "extract_incremental");
+    TraceSpan extract_span(tracer_, "extract", "extract_incremental");
     extract_span.set_arg("dirty_gates", static_cast<std::int64_t>(pending_dirty_.size()));
     pstats_ += reextract_region(partition_, net_, pending_dirty_, &gisg_scratch_);
     pending_dirty_.clear();
@@ -387,7 +382,7 @@ void RewireEngine::ensure_prover() {
       sat::ProofSession::Options sopt;
       sopt.conflict_limit = paranoid_options_.window_conflict_limit;
       session_ = std::make_unique<sat::ProofSession>(sopt);
-      session_->set_tracer(ctx_ != nullptr ? &ctx_->tracer() : nullptr);
+      session_->set_tracer(tracer_);
       session_harvested_ = sat::ProofSessionStats{};
     }
   } else if (!paranoid_) {
@@ -490,7 +485,7 @@ EngineObjective RewireEngine::commit(const EngineMove& move) {
   apply_and_invalidate(scratch_, move);
   sta_.propagate();
   if (prove) {
-    TraceSpan proof_span(span_tracer(), "sat", "proof_window");
+    TraceSpan proof_span(tracer_, "sat", "proof_window");
     // Window-prover conflicts attributed to THIS move; escalation conflicts
     // are added from the full-miter result where one runs.
     const std::uint64_t conflicts_before =

@@ -47,7 +47,6 @@
 
 namespace rapids {
 
-class SessionContext;
 class Tracer;
 
 /// The two timing objectives every probe reports (phase A optimizes
@@ -176,12 +175,11 @@ class RewireEngine {
   Sta& sta() { return sta_; }
   const CellLibrary& lib() const { return lib_; }
 
-  /// Session this engine records into (trace spans, proof-session
-  /// instants). Null (the default) means the thread-ambient context —
-  /// identical behavior to before sessions existed. The scheduler wires
-  /// its session into the live engine and every replica engine.
-  void set_session(SessionContext* ctx);
-  SessionContext* session_context() const { return ctx_; }
+  /// Tracer this engine's spans and its proof session's instants record
+  /// into: the run's session tracer, wired by the optimizer (live engine)
+  /// and the probe contexts (replicas). Null (the default, e.g. an engine
+  /// built by a unit test) records nothing.
+  void set_tracer(Tracer* tracer);
 
   // --- partition lifecycle -------------------------------------------------
 
@@ -476,12 +474,7 @@ class RewireEngine {
   /// replica engines carry the configuration but never prove).
   void ensure_prover();
 
-  /// Tracer the engine's spans record on: the wired session's, else the
-  /// thread-ambient one (implemented in the .cpp — SessionContext is
-  /// incomplete here).
-  Tracer& span_tracer() const;
-
-  SessionContext* ctx_ = nullptr;
+  Tracer* tracer_ = nullptr;
 
   // Paranoid-mode move provers (at most one non-null — per-move window
   // checker or persistent proof session — created lazily by the first

@@ -1,6 +1,7 @@
 #include "flow/flow.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "gen/suite.hpp"
@@ -14,23 +15,19 @@
 
 namespace rapids {
 
-namespace {
-
-/// Tracer the flow's own spans record into: the configured session's, else
-/// the thread-ambient (singleton-backed) tracer.
-Tracer& flow_tracer(const FlowOptions& options) {
-  return options.session != nullptr ? options.session->tracer() : current_tracer();
-}
-
-}  // namespace
-
 PreparedCircuit prepare_circuit(const std::string& name, const Network& src,
                                 const CellLibrary& lib, const FlowOptions& options) {
+  // Public entry point: a session-less call runs on a call-local session.
+  std::optional<SessionContext> local;
+  SessionContext& session = options.opt.session != nullptr
+                                ? *options.opt.session
+                                : local.emplace("default");
+  Tracer& tracer = session.tracer();
   PreparedCircuit prepared;
   prepared.name = name;
   Network mapped_net;
   {
-    TraceSpan map_span(flow_tracer(options), "flow", "map");
+    TraceSpan map_span(tracer, "flow", "map");
     MapResult mapped = map_network(src, lib);
     mapped_net = std::move(mapped.mapped);
   }
@@ -43,11 +40,11 @@ PreparedCircuit prepare_circuit(const std::string& name, const Network& src,
                   static_cast<double>(cells);
   }
   {
-    TraceSpan place_span(flow_tracer(options), "flow", "place");
+    TraceSpan place_span(tracer, "flow", "place");
     prepared.placement = place(prepared.mapped, lib, popt);
   }
 
-  TraceSpan sta_span(flow_tracer(options), "flow", "initial_sta");
+  TraceSpan sta_span(tracer, "flow", "initial_sta");
   Sta sta(prepared.mapped, lib, prepared.placement);
   prepared.initial_delay = sta.critical_delay();
   prepared.initial_area = 0.0;
@@ -114,9 +111,11 @@ void run_mode_impl(ModeRun& run, Placement& placement, const Network* reference,
   Sta sta(run.optimized, lib, placement);
   OptimizerOptions oopt = options.opt;
   oopt.mode = mode;
-  // The flow's session wins over any session pre-set on the optimizer
-  // options: one flow = one session, end to end.
-  if (options.session != nullptr) oopt.session = options.session;
+  // Both run_mode overloads resolve a session-less call here, once, into a
+  // call-local session: one flow = one session, end to end.
+  std::optional<SessionContext> local;
+  if (oopt.session == nullptr) oopt.session = &local.emplace("default");
+  SessionContext& session = *oopt.session;
   // The Sta constructor above just ran a full analysis against this exact
   // network state; the optimizer can skip its own initial O(network) pass.
   oopt.sta_is_fresh = true;
@@ -125,17 +124,13 @@ void run_mode_impl(ModeRun& run, Placement& placement, const Network* reference,
   // seed that placed the circuit.
   if (oopt.seed == OptimizerOptions{}.seed) oopt.seed = options.placer.seed;
   {
-    TraceSpan opt_span(flow_tracer(options), "flow", "optimize");
+    TraceSpan opt_span(session.tracer(), "flow", "optimize");
     run.result = optimize(run.optimized, placement, lib, sta, oopt);
     opt_span.set_arg("committed", run.result.swaps_committed + run.result.resizes_committed);
   }
-  // Owned sessions collect their flow metrics automatically — the serve
-  // driver dumps session.metrics() per job. The process-default context
-  // leaves collection to the caller (the CLI collects into its own
-  // registry exactly as before).
-  if (options.session != nullptr && !options.session->is_process_default()) {
-    collect_flow_metrics(options.session->metrics(), run.result);
-  }
+  // Every session collects its flow metrics; the CLI and the serve driver
+  // dump session.metrics() after labelling it.
+  collect_flow_metrics(session.metrics(), run.result);
   if (oopt.paranoid) {
     log_info() << name << " " << to_string(mode) << ": paranoid proved "
                << run.result.moves_proved << " commits ("
@@ -149,7 +144,7 @@ void run_mode_impl(ModeRun& run, Placement& placement, const Network* reference,
                << ")";
   }
   if (options.verify) {
-    TraceSpan verify_span(flow_tracer(options), "flow", "verify");
+    TraceSpan verify_span(session.tracer(), "flow", "verify");
     RAPIDS_ASSERT(reference != nullptr);
     EquivalenceOptions eopt;
     eopt.sat_proof = options.verify_sat;

@@ -18,20 +18,15 @@
 
 namespace rapids {
 
-class SessionContext;
-
 struct FlowOptions {
   PlacerOptions placer;
+  /// opt.session is the session the whole flow runs under: trace spans,
+  /// provenance, metrics and the worker pool all belong to it. Null = a
+  /// call-local session per entry point (prepare_circuit, run_mode), whose
+  /// observations are discarded. run_mode collects the flow metrics into
+  /// session.metrics(), which makes it re-entrant: concurrent flows on
+  /// separate sessions share no mutable observability state.
   OptimizerOptions opt;
-  /// Session the whole flow runs under: trace spans, provenance, metrics
-  /// and the worker pool all belong to it, threaded by reference down
-  /// through optimizer → scheduler → probe contexts → replica engines.
-  /// Null = the process-default context (singleton-backed — the exact
-  /// pre-session CLI one-shot behavior). Owned sessions additionally get
-  /// their flow metrics collected into session.metrics() automatically,
-  /// which makes run_mode re-entrant: concurrent flows on separate
-  /// sessions share no mutable observability state.
-  SessionContext* session = nullptr;
   /// Equivalence-check each optimized netlist against the mapped input.
   bool verify = true;
   /// Escalate verification to a SAT proof when the interface is too wide

@@ -20,16 +20,14 @@ namespace {
 // BLIFs the old tokenizer spent more time in allocator churn than in
 // network construction; this path is allocation-free per token.
 
-/// One row of a .names cover: "<mask> <val>" or just "<val>" (constant
-/// blocks). mask is empty for single-token rows.
-struct CoverRow {
-  std::string_view mask;
-  std::string_view val;
-};
-
+/// A .names block. Cover rows are "<mask> <val>", or just "<val>" in
+/// constant blocks; parse() validates every row against the block, so only
+/// the masks (empty for constant rows) and their shared output value are
+/// kept.
 struct NamesBlock {
   std::vector<std::string_view> signals;  // inputs..., output last
-  std::vector<CoverRow> cover;
+  std::vector<std::string_view> cover;    // row masks
+  bool onset = true;                      // every row's output value is 1
 };
 
 struct BlifModel {
@@ -128,13 +126,30 @@ BlifModel parse(std::string_view buf) {
       current = nullptr;
     } else {
       if (current == nullptr) fail("cover row outside .names");
-      if (toks.size() == 1) {
-        current->cover.push_back({std::string_view{}, toks[0]});
-      } else if (toks.size() == 2) {
-        current->cover.push_back({toks[0], toks[1]});
-      } else {
-        fail("malformed cover row");
+      if (toks.size() > 2) fail("malformed cover row");
+      const std::size_t nin = current->signals.size() - 1;
+      const std::string_view mask = toks.size() == 2 ? toks[0] : std::string_view{};
+      const std::string_view val = toks.back();
+      if (nin > 0 && mask.empty()) {
+        fail("malformed cover row '" + std::string(val) + "'");
       }
+      if (mask.size() != nin) {
+        fail("cover width mismatch in '" + std::string(mask) + " " +
+             std::string(val) + "'");
+      }
+      if (mask.find_first_not_of("01-") != std::string_view::npos) {
+        fail("cover mask '" + std::string(mask) + "' has a character outside {0,1,-}");
+      }
+      if (val != "0" && val != "1") {
+        fail("cover output value '" + std::string(val) + "' is not 0 or 1");
+      }
+      // BLIF covers list either the on-set or the off-set, never both.
+      const bool onset = val == "1";
+      if (!current->cover.empty() && onset != current->onset) {
+        fail("cover rows of one .names block mix output values 0 and 1");
+      }
+      current->onset = onset;
+      current->cover.push_back(mask);
     }
   }
   return model;
@@ -166,31 +181,19 @@ Network build(const BlifModel& model) {
     }
     GateId out = kNullGate;
     if (nin == 0) {
-      // Constant: a "1" row makes it const1; empty cover = const0.
-      bool value = false;
-      for (const CoverRow& row : block.cover) {
-        if (row.val == "1") value = true;
-      }
-      out = get_const(value);
+      // Constant: an on-set row makes it const1; an off-set row or an empty
+      // cover is const0.
+      out = get_const(!block.cover.empty() && block.onset);
     } else {
-      // General SOP. Rows: "<mask> <v>"; all v identical per BLIF rules.
+      // General SOP over the validated rows; an off-set cover is inverted.
       std::vector<GateId> products;
-      int out_val = 1;
-      for (const CoverRow& row : block.cover) {
-        if (row.mask.empty()) {
-          throw InputError("blif: malformed cover row '" + std::string(row.val) + "'");
-        }
-        out_val = row.val == "1" ? 1 : 0;
-        if (row.mask.size() != nin) {
-          throw InputError("blif: cover width mismatch in '" + std::string(row.mask) +
-                           " " + std::string(row.val) + "'");
-        }
+      for (const std::string_view mask : block.cover) {
         std::vector<GateId> lits;
         for (std::size_t i = 0; i < nin; ++i) {
           const GateId s = signal.at(block.signals[i]);
-          if (row.mask[i] == '1') {
+          if (mask[i] == '1') {
             lits.push_back(s);
-          } else if (row.mask[i] == '0') {
+          } else if (mask[i] == '0') {
             const GateId inv = net.add_gate(GateType::Inv);
             net.add_fanin(inv, s);
             lits.push_back(inv);
@@ -215,7 +218,7 @@ Network build(const BlifModel& model) {
         out = net.add_gate(GateType::Or);
         for (const GateId p : products) net.add_fanin(out, p);
       }
-      if (out_val == 0) {
+      if (!block.onset) {
         const GateId inv = net.add_gate(GateType::Inv);
         net.add_fanin(inv, out);
         out = inv;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -39,7 +40,6 @@ SchedulerOptions scheduler_options(const OptimizerOptions& o) {
   s.seed = o.seed;
   s.delta_sync = o.delta_replica_sync;
   s.timing_damp = o.timing_damp;
-  s.session = o.session;
   return s;
 }
 
@@ -50,12 +50,13 @@ SchedulerOptions scheduler_options(const OptimizerOptions& o) {
 class Optimizer {
  public:
   Optimizer(Network& net, Placement& pl, const CellLibrary& lib, Sta& sta,
-            const OptimizerOptions& options)
-      : net_(net), lib_(lib), sta_(sta), engine_(net, pl, lib, sta),
-        scheduler_(engine_, scheduler_options(options)), options_(options) {
+            SessionContext& session, const OptimizerOptions& options)
+      : net_(net), lib_(lib), sta_(sta), tracer_(session.tracer()),
+        engine_(net, pl, lib, sta),
+        scheduler_(engine_, session, scheduler_options(options)), options_(options) {
     // The live engine records into the run's session (replica engines are
     // wired by the scheduler's probe contexts).
-    engine_.set_session(options.session);
+    engine_.set_tracer(&tracer_);
     // Verify-every-commit: each committed move is SAT-proved on its window
     // before it sticks, for every commit path (incl. parallel arbitration).
     ParanoidOptions popt;
@@ -72,7 +73,7 @@ class Optimizer {
     Timer timer;
     OptimizerResult result;
     {
-      TraceSpan setup_span(tracer(), "opt", "setup");
+      TraceSpan setup_span(tracer_, "opt", "setup");
       if (!options_.sta_is_fresh) sta_.run_full();
       result.initial_delay = sta_.critical_delay();
       result.initial_area = network_area(net_, lib_);
@@ -94,7 +95,7 @@ class Optimizer {
     double best = result.initial_delay;
     for (int iter = 0; iter < options_.max_iterations; ++iter) {
       ++result.iterations;
-      TraceSpan iter_span(tracer(), "opt", "iteration");
+      TraceSpan iter_span(tracer_, "opt", "iteration");
       iter_span.set_arg("iter", iter);
       // Groups are refreshed per phase: a committed swap restructures its
       // supergate (inverter insertion, subtree exchange), which bumps that
@@ -121,7 +122,7 @@ class Optimizer {
 
     {
       const Timer finalize_timer;
-      TraceSpan fin_span(tracer(), "opt", "finalize");
+      TraceSpan fin_span(tracer_, "opt", "finalize");
       if (options_.mode != OptMode::GateSizing) {
         // Only drop fanout-less inverters: their removal strictly reduces
         // driver loads. Inverter-pair collapse would re-time paths that were
@@ -223,13 +224,6 @@ class Optimizer {
   }
 
  private:
-  /// Tracer the run records into: the session's when one is configured,
-  /// else the thread-ambient (singleton-backed) tracer.
-  Tracer& tracer() const {
-    return options_.session != nullptr ? options_.session->tracer()
-                                       : current_tracer();
-  }
-
   // --- group construction ---------------------------------------------------
 
   /// Pop the next pooled ProbeGroup (capacity retained across rounds: a
@@ -248,7 +242,7 @@ class Optimizer {
 
   std::span<const ProbeGroup> build_groups() {
     const Timer groups_timer;
-    TraceSpan groups_span(tracer(), "opt", "build_groups");
+    TraceSpan groups_span(tracer_, "opt", "build_groups");
     groups_used_ = 0;
     const bool want_swaps = options_.mode != OptMode::GateSizing;
     const bool want_resizes = options_.mode != OptMode::Gsg;
@@ -381,7 +375,7 @@ class Optimizer {
   /// that keeps the critical delay within budget wins, and the arbiter
   /// re-validates each against the live state in gate order.
   void phase_area_recovery() {
-    TraceSpan phase_span(tracer(), "opt", "area_recovery");
+    TraceSpan phase_span(tracer_, "opt", "area_recovery");
     const Timer groups_timer;
     groups_used_ = 0;
     covered_nontrivial_.assign(net_.id_bound(), 0);
@@ -419,6 +413,7 @@ class Optimizer {
   Network& net_;
   const CellLibrary& lib_;
   Sta& sta_;
+  Tracer& tracer_;  // the run's session tracer
   RewireEngine engine_;
   ParallelRewireScheduler scheduler_;
   OptimizerOptions options_;
@@ -441,7 +436,11 @@ class Optimizer {
 
 OptimizerResult optimize(Network& net, Placement& placement, const CellLibrary& lib,
                          Sta& sta, const OptimizerOptions& options) {
-  Optimizer optimizer(net, placement, lib, sta, options);
+  // Public entry point: a session-less call runs on a call-local session.
+  std::optional<SessionContext> local;
+  SessionContext& session =
+      options.session != nullptr ? *options.session : local.emplace("default");
+  Optimizer optimizer(net, placement, lib, sta, session, options);
   return optimizer.run();
 }
 

@@ -109,11 +109,12 @@ struct OptimizerOptions {
   /// The caller just ran sta.run_full() against this exact network state
   /// (the flow driver does): skip the optimizer's own initial full pass.
   bool sta_is_fresh = false;
-  /// Session the run's observability (trace spans, provenance, engine +
-  /// proof-session instants) and worker pool belong to, threaded down
-  /// through scheduler → probe contexts → replica engines. Null = the
-  /// process-default context (singleton-backed — the exact pre-session
-  /// behavior).
+  /// Session the run's observability (trace spans, provenance, metrics,
+  /// engine + proof-session instants) and worker pool belong to, threaded
+  /// by reference through flow → scheduler → probe contexts → replica
+  /// engines. The one session option of the flow. Null is legal only at
+  /// the public entry points (prepare_circuit, run_mode, optimize), which
+  /// resolve it once into a call-local owned session.
   SessionContext* session = nullptr;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "session/session.hpp"
 #include "trace/trace.hpp"
 #include "util/timer.hpp"
 
@@ -13,9 +12,9 @@ ProbeContext::ProbeContext(const CellLibrary& lib, std::uint64_t base_seed, int 
 
 ProbeContext::~ProbeContext() = default;
 
-void ProbeContext::set_session(SessionContext* ctx) {
-  ctx_ = ctx;
-  if (engine_) engine_->set_session(ctx);
+void ProbeContext::set_tracer(Tracer* tracer) {
+  tracer_ = tracer;
+  if (engine_) engine_->set_tracer(tracer);
 }
 
 void ProbeContext::adopt_partition_from(RewireEngine& source) {
@@ -42,8 +41,7 @@ bool ProbeContext::partition_current(RewireEngine& source) const {
 
 void ProbeContext::sync(RewireEngine& source, bool with_partition) {
   const Timer timer;
-  TraceSpan sync_span(ctx_ != nullptr ? ctx_->tracer() : current_tracer(),
-                      "sync", "replica_sync");
+  TraceSpan sync_span(tracer_, "sync", "replica_sync");
   ++sync_stats_.syncs;
 
   // Delta path: replay the source journal's committed rounds instead of
@@ -123,7 +121,7 @@ void ProbeContext::sync(RewireEngine& source, bool with_partition) {
   sta_ = std::make_unique<Sta>(net_, lib_, pl_, StaOptions{}, Sta::DeferInit{});
   sta_->copy_state_from(source.sta());
   engine_ = std::make_unique<RewireEngine>(net_, pl_, lib_, *sta_);
-  engine_->set_session(ctx_);
+  engine_->set_tracer(tracer_);
   // Replicas inherit the paranoid configuration: each worker owns a
   // PRIVATE prover (per-worker proof sessions — solvers are not
   // thread-safe and must never be shared), so any replica-side commit

@@ -75,10 +75,10 @@ class ProbeContext {
   void set_delta_sync(bool on) { delta_sync_ = on; }
   bool delta_sync() const { return delta_sync_; }
 
-  /// Session this context's replica engine records into (null = ambient).
-  /// The scheduler wires its session here; replicas rebuilt by later
-  /// sync()s inherit it.
-  void set_session(SessionContext* ctx);
+  /// Tracer this context's sync spans and replica engine record into. The
+  /// scheduler wires its session's tracer here; replicas rebuilt by later
+  /// sync()s inherit it. Null (the default) records nothing.
+  void set_tracer(Tracer* tracer);
 
   /// Sync cost counters since the last harvest; resets the window.
   ReplicaSyncStats take_sync_stats() {
@@ -150,7 +150,7 @@ class ProbeContext {
  private:
   const CellLibrary& lib_;
   Rng rng_;
-  SessionContext* ctx_ = nullptr;
+  Tracer* tracer_ = nullptr;
 
   Network net_;
   Placement pl_;

@@ -20,31 +20,22 @@ constexpr double kCritSlack = 1e-9;
 }  // namespace
 
 ParallelRewireScheduler::ParallelRewireScheduler(RewireEngine& engine,
+                                                SessionContext& session,
                                                 const SchedulerOptions& options)
-    : engine_(engine), options_(options),
-      session_(options.session != nullptr ? options.session
-                                          : &SessionContext::process_default()),
-      pool_(session_->acquire_pool(options.threads)),
-      probe_stats_(1) {
-  // The process-default context lends no pool (its users are uncoordinated
-  // — see SessionContext::acquire_pool); own a private one, exactly as
-  // before sessions existed. Owned sessions lend their persistent pool so
-  // it stays warm across the session's flows.
-  if (pool_ == nullptr) {
-    owned_pool_ = std::make_unique<ThreadPool>(options.threads);
-    pool_ = owned_pool_.get();
-  }
-  probe_stats_ = ShardedStats(pool_->workers());
-  options_.threads = pool_->workers();
+    : engine_(engine), options_(options), session_(session),
+      // The session's persistent pool stays warm across its flows.
+      pool_(session.acquire_pool(options.threads)),
+      probe_stats_(pool_.workers()) {
+  options_.threads = pool_.workers();
   // The damping lever lives on the engines: the live one here, replicas
   // inherit it at sync time.
   engine_.set_timing_damp(options_.timing_damp);
-  contexts_.reserve(static_cast<std::size_t>(pool_->workers()));
-  for (int w = 0; w < pool_->workers(); ++w) {
+  contexts_.reserve(static_cast<std::size_t>(pool_.workers()));
+  for (int w = 0; w < pool_.workers(); ++w) {
     contexts_.push_back(
         std::make_unique<ProbeContext>(engine.lib(), options_.seed, w));
     contexts_.back()->set_delta_sync(options_.delta_sync);
-    contexts_.back()->set_session(options_.session);
+    contexts_.back()->set_tracer(&session_.tracer());
   }
 }
 
@@ -128,7 +119,7 @@ std::vector<GroupResult> ParallelRewireScheduler::probe_round(
   if (groups.empty()) return results;
   const Timer round_timer;
   ++stats_.rounds;
-  TraceSpan round_span(session_->tracer(), "probe", "probe_round");
+  TraceSpan round_span(session_.tracer(), "probe", "probe_round");
   round_span.set_arg("groups", static_cast<std::int64_t>(groups.size()));
 
   // Refresh the live engine's damping margins at ROUND granularity (no-op
@@ -144,7 +135,7 @@ std::vector<GroupResult> ParallelRewireScheduler::probe_round(
 
   const double base_critical = engine_.sta().critical_delay();
   const double base_sum = engine_.sta().sum_po_arrival();
-  const int workers = pool_->workers();
+  const int workers = pool_.workers();
 
   if (workers == 1) {
     // Single-worker fast path: probe the live engine directly — probes are
@@ -207,12 +198,11 @@ std::vector<GroupResult> ParallelRewireScheduler::probe_round(
   // Per-worker margin-refresh seconds, summed after the barrier (workers
   // must not race on the shared stats struct).
   std::vector<double> margin_seconds(static_cast<std::size_t>(workers), 0.0);
-  pool_->run([&](int w) {
-    // Install this session on the pool thread: a session-lent pool thread
-    // has no ambient context, and its thread-local worker id must be this
-    // round's index even if the thread served another session's round
-    // earlier (SessionScope saves/restores both).
-    SessionScope session_scope(*session_, w);
+  pool_.run([&](int w) {
+    // Tag this pool thread with the session: its log tag and thread-local
+    // worker id must be this round's even if the thread served another
+    // session's round earlier (SessionScope saves/restores both).
+    SessionScope session_scope(session_, w);
     const std::vector<int>& mine = shard_groups[static_cast<std::size_t>(w)];
     if (mine.empty()) {
       // A starved worker is exactly what the load-distribution metric
@@ -221,7 +211,7 @@ std::vector<GroupResult> ParallelRewireScheduler::probe_round(
       return;
     }
     // One span per worker shard, landing on that worker's own trace ring.
-    TraceSpan shard_span(session_->tracer(), "probe", "probe_shard");
+    TraceSpan shard_span(session_.tracer(), "probe", "probe_shard");
     shard_span.set_arg("groups", static_cast<std::int64_t>(mine.size()));
     ProbeContext& ctx = *contexts_[static_cast<std::size_t>(w)];
     // in_sync_with, not synced_to: the epoch alone misses an out-of-band
@@ -269,7 +259,7 @@ std::vector<GroupResult> ParallelRewireScheduler::probe_round(
 
 std::uint64_t ParallelRewireScheduler::harvest_worker_counters() {
   std::uint64_t probes = 0;
-  for (int w = 0; w < pool_->workers(); ++w) {
+  for (int w = 0; w < pool_.workers(); ++w) {
     ProbeContext& ctx = *contexts_[static_cast<std::size_t>(w)];
     const EngineStats window = ctx.take_stats();
     engine_.absorb_stats(window);
@@ -286,7 +276,7 @@ int ParallelRewireScheduler::arbitrate_and_commit(
     std::span<const ProbeGroup> groups) {
   const Timer arb_timer;
   double commit_seconds = 0.0;
-  TraceSpan arb_span(session_->tracer(), "arbitrate", "arbitrate_round");
+  TraceSpan arb_span(session_.tracer(), "arbitrate", "arbitrate_round");
   // Keep only per-group winners.
   results.erase(std::remove_if(results.begin(), results.end(),
                                [](const GroupResult& r) { return !r.has_move; }),
@@ -324,9 +314,8 @@ int ParallelRewireScheduler::arbitrate_and_commit(
   // Provenance records happen HERE and only here: this loop is serial and
   // consumes winners in the canonical order, so the event stream is
   // worker-count-independent. `stats_.rounds` is the round coordinate of
-  // every id minted below. The stream belongs to the round's session —
-  // the singleton for the process-default context.
-  ProvenanceLog& prov = session_->provenance();
+  // every id minted below. The stream belongs to the round's session.
+  ProvenanceLog& prov = session_.provenance();
   const std::uint64_t round = stats_.rounds;
   for (const GroupResult& r : results) {
     const std::uint64_t win_id = make_move_id(round, r.group, r.move_index);
@@ -414,7 +403,7 @@ int ParallelRewireScheduler::arbitrate_and_commit(
     }
     if (take) {
       const Timer commit_timer;
-      TraceSpan commit_span(session_->tracer(), "commit", "commit_move");
+      TraceSpan commit_span(session_.tracer(), "commit", "commit_move");
       commit_span.set_arg("group", r.group);
       const std::size_t verdicts_before = engine_.paranoid_verdicts().size();
       engine_.commit(chosen);

@@ -104,12 +104,6 @@ struct SchedulerOptions {
   /// Off = every probe propagates to the full disturbance cone — the
   /// `--no-timing-damp` A/B reference.
   bool timing_damp = true;
-  /// Session the round's observability (trace spans, provenance records)
-  /// and worker pool belong to. Null = the process-default context: the
-  /// scheduler owns a private pool and records on the singletons — the
-  /// exact pre-session behavior. Owned sessions lend their persistent pool
-  /// (warm across flows) and their private tracer/provenance.
-  SessionContext* session = nullptr;
 };
 
 struct SchedulerStats {
@@ -143,12 +137,15 @@ struct SchedulerStats {
 class ParallelRewireScheduler {
  public:
   /// `engine` is the live engine: probes replicate FROM it, commits go
-  /// THROUGH it. It must outlive the scheduler.
-  ParallelRewireScheduler(RewireEngine& engine, const SchedulerOptions& options);
+  /// THROUGH it. `session` owns the round's observability (trace spans,
+  /// provenance records) and lends its persistent worker pool. Both must
+  /// outlive the scheduler.
+  ParallelRewireScheduler(RewireEngine& engine, SessionContext& session,
+                          const SchedulerOptions& options);
   ParallelRewireScheduler(const ParallelRewireScheduler&) = delete;
   ParallelRewireScheduler& operator=(const ParallelRewireScheduler&) = delete;
 
-  int threads() const { return pool_->workers(); }
+  int threads() const { return pool_.workers(); }
 
   /// Shard `groups` by conflict signature and probe them in parallel
   /// against the live state. Returns one result per group, indexed like
@@ -190,12 +187,8 @@ class ParallelRewireScheduler {
 
   RewireEngine& engine_;
   SchedulerOptions options_;
-  /// Never null: the configured session, or the process-default context.
-  SessionContext* session_;
-  /// The session's lent pool, or owned_pool_ when the session lends none
-  /// (the process-default context). Never null after construction.
-  ThreadPool* pool_;
-  std::unique_ptr<ThreadPool> owned_pool_;
+  SessionContext& session_;
+  ThreadPool& pool_;  // lent by session_
   std::vector<std::unique_ptr<ProbeContext>> contexts_;
   ProbeScratch serial_scratch_;  // single-worker fast path probes the live engine
   SchedulerStats stats_;

@@ -305,9 +305,10 @@ void ProofSession::invalidate_all() {
   }
   stats_.entries_invalidated += dropped;
   ++stats_.cache_wipes;
-  Tracer& tracer = tracer_ != nullptr ? *tracer_ : current_tracer();
-  tracer.instant("sat", "session_cache_wipe", "entries",
-                 static_cast<std::int64_t>(dropped));
+  if (tracer_ != nullptr) {
+    tracer_->instant("sat", "session_cache_wipe", "entries",
+                     static_cast<std::int64_t>(dropped));
+  }
 }
 
 void ProofSession::invalidate(GateId g) {

@@ -171,10 +171,11 @@ class ProofSession {
   /// this to created gates automatically).
   void invalidate(GateId g);
 
-  /// Tracer that receives the session's instant events (cache wipes). Null
-  /// (the default) records on the thread-ambient tracer; the engine wires
-  /// its SessionContext's tracer here so multi-session runs record into
-  /// the right rings no matter which thread triggers the wipe.
+  /// Tracer that receives the session's instant events (cache wipes). The
+  /// engine wires its run's session tracer here so multi-session runs
+  /// record into the right rings no matter which thread triggers the wipe.
+  /// Null (the default, a prover built outside any session) records
+  /// nothing.
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
 
   bool window_open() const { return window_open_; }

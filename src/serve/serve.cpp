@@ -115,17 +115,17 @@ ServeJobResult run_serve_job(const ServeJob& job) {
   res.id = job.id;
   const Timer timer;
   try {
-    // One owned session per job: private logger/tracer/provenance/metrics
-    // and a persistent worker pool, so concurrent jobs share no mutable
-    // observability state. The scope routes this thread's ambient logging
-    // (and any stray ambient recording) into the session for the job's
-    // duration and restores the caller's context on every exit path.
-    SessionContext session(job.id, job.seed);
+    // One owned session per job: private tracer/provenance/metrics and a
+    // persistent worker pool, so concurrent jobs share no mutable
+    // observability state. The scope tags this thread's log lines with the
+    // job id for the job's duration and restores the caller's tag on every
+    // exit path.
+    SessionContext session(job.id);
     SessionScope scope(session);
     if (!job.out_provenance.empty()) session.provenance().enable();
 
     FlowOptions options;
-    options.session = &session;
+    options.opt.session = &session;
     options.placer.seed = job.seed;
     options.placer.effort = job.effort;
     options.opt.max_iterations = job.iters;
@@ -137,7 +137,7 @@ ServeJobResult run_serve_job(const ServeJob& job) {
     PreparedCircuit prepared = prepare_circuit(job.circuit, src, lib, options);
     // Move-adopt, exactly like the one-shot CLI's default path: the flow
     // optimizes the mapped network in place; run_mode collected the flow
-    // metrics into session.metrics() (owned session).
+    // metrics into session.metrics().
     ModeRun run = run_mode(std::move(prepared), lib, job.mode, options);
 
     session.metrics().set_label("circuit", job.circuit);

@@ -1,15 +1,15 @@
 // rapids serve — a long-lived multi-job flow driver on session contexts.
 //
-// The CLI's one-shot path runs exactly one flow per process, so it can
-// record on the process-wide singleton observability (and does — the
-// default SessionContext). serve is the other shape: one process accepts N
-// independent circuit jobs and runs their flows CONCURRENTLY, each on its
-// own owned SessionContext. Sessions give every job a private Logger sink,
-// Tracer, MetricsRegistry, ProvenanceLog, RNG root and a persistent worker
-// pool, so concurrent flows share no mutable observability state and each
-// job's artifacts are byte-identical to running the same flow alone
-// (`rapids flow` with the same knobs) — the property tests/test_serve.cpp
-// and the serve-smoke CI job pin.
+// The CLI's one-shot path runs exactly one flow per process, on one
+// SessionContext named "default". serve is the other shape: one process
+// accepts N independent circuit jobs and runs their flows CONCURRENTLY,
+// each on its own SessionContext named after the job. Sessions give every
+// job a private Tracer, MetricsRegistry, ProvenanceLog and a persistent
+// worker pool, so concurrent flows share no mutable observability state
+// and each job's artifacts are byte-identical to running the same flow
+// alone (`rapids flow` with the same knobs) — the property
+// tests/test_serve.cpp and the serve-smoke CI job pin. Log lines go to the
+// one process logger (so `--log-level` applies), tagged with the job id.
 //
 // Job format (one job per line; `#` comments and blank lines skipped):
 //

@@ -1,88 +1,35 @@
 #include "session/session.hpp"
 
-#include <cstdio>
 #include <utility>
+
+#include "util/log.hpp"
 
 namespace rapids {
 
-namespace {
-thread_local SessionContext* t_session = nullptr;
-}  // namespace
-
-SessionContext::SessionContext(std::string id, std::uint64_t rng_seed)
-    : owned_(std::make_unique<Owned>()),
-      logger_(&owned_->logger),
-      tracer_(&owned_->tracer),
-      provenance_(&owned_->provenance),
-      id_(id.empty() ? "session" : std::move(id)),
-      rng_seed_(rng_seed),
-      rng_(rng_seed) {
-  provenance_->set_session_id(id_);
+SessionContext::SessionContext(std::string id)
+    : id_(id.empty() ? "session" : std::move(id)) {
+  provenance_.set_session_id(id_);
   metrics_.set_label("session.id", id_);
-  // Owned sessions tag their log lines with the session id so interleaved
-  // multi-session stderr stays attributable (mirrors the worker-id tag).
-  const std::string tag = id_;
-  logger_->set_sink([tag](LogLevel level, const std::string& message) {
-    if (const int w = current_worker(); w >= 0) {
-      std::fprintf(stderr, "[rapids:%s %s w%d] %s\n", to_string(level),
-                   tag.c_str(), w, message.c_str());
-    } else {
-      std::fprintf(stderr, "[rapids:%s %s] %s\n", to_string(level), tag.c_str(),
-                   message.c_str());
-    }
-  });
 }
 
-SessionContext::SessionContext(DefaultTag)
-    : logger_(&Logger::instance()),
-      tracer_(&Tracer::instance()),
-      provenance_(&ProvenanceLog::instance()),
-      id_("default"),
-      rng_seed_(0x5eed5ULL),
-      rng_(0x5eed5ULL) {}
-
-SessionContext::~SessionContext() = default;
-
-SessionContext& SessionContext::process_default() {
-  static SessionContext ctx{DefaultTag{}};
-  return ctx;
-}
-
-ThreadPool* SessionContext::acquire_pool(int workers) {
-  if (is_process_default()) return nullptr;
+ThreadPool& SessionContext::acquire_pool(int workers) {
   const int want = workers < 1 ? 1 : workers;
   if (pool_ == nullptr || pool_->workers() != want) {
     pool_.reset();  // join the old pool before spawning the resized one
     pool_ = std::make_unique<ThreadPool>(want);
   }
-  return pool_.get();
+  return *pool_;
 }
 
-SessionContext& current_session() {
-  return t_session != nullptr ? *t_session : SessionContext::process_default();
-}
-
-SessionContext* current_session_or_null() { return t_session; }
-
-SessionScope::SessionScope(SessionContext& session, int worker)
-    : prev_worker_(current_worker()) {
-  SessionContext* install =
-      session.is_process_default() ? nullptr : &session;
-  prev_session_ = t_session;
-  t_session = install;
-  prev_logger_ = exchange_thread_logger(install ? &session.logger() : nullptr);
-  prev_tracer_ = exchange_thread_tracer(install ? &session.tracer() : nullptr);
-  prev_provenance_ =
-      exchange_thread_provenance(install ? &session.provenance() : nullptr);
+SessionScope::SessionScope(const SessionContext& session, int worker)
+    : prev_tag_(current_log_tag()), prev_worker_(current_worker()) {
+  set_current_log_tag(session.id().c_str());
   set_current_worker(worker);
 }
 
 SessionScope::~SessionScope() {
   set_current_worker(prev_worker_);
-  exchange_thread_provenance(prev_provenance_);
-  exchange_thread_tracer(prev_tracer_);
-  exchange_thread_logger(prev_logger_);
-  t_session = prev_session_;
+  set_current_log_tag(prev_tag_);
 }
 
 }  // namespace rapids

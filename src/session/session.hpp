@@ -1,35 +1,24 @@
 // SessionContext — one rewiring session's observability and execution
-// state, owned explicitly instead of reached through process singletons.
+// state, owned explicitly and reached only by reference.
 //
-// Before this existed, Logger/Tracer/ProvenanceLog were process-wide
-// singletons and the worker id a bare thread-local: one flow per process,
-// by construction. A SessionContext bundles everything a flow reads or
-// writes ambiently — logger sink, trace rings, provenance stream, metrics
-// registry, RNG root, and (for owned sessions) a persistent thread pool —
+// A SessionContext bundles everything a flow records or consumes — trace
+// rings, provenance stream, metrics registry and a persistent thread pool —
 // so N sessions can run N flows concurrently in one process without
-// touching each other's logs, rings, or provenance. This is the unit
-// `rapids serve` holds per job, and the precondition for the ROADMAP's
-// warm {network, partition, STA, proof-session} service tuples.
+// touching each other's rings, provenance or metrics. This is the unit
+// `rapids serve` holds per job, the one-shot CLI builds for its flow, and
+// the precondition for the ROADMAP's warm {network, partition, STA,
+// proof-session} service tuples.
 //
-// Two kinds of context:
+// Routing: the session is threaded BY REFERENCE from the flow through
+// optimizer → scheduler → probe contexts → replica engines → proof
+// sessions. There is no ambient lookup on any recording path. The public
+// flow entry points (prepare_circuit, run_mode, optimize) accept a null
+// OptimizerOptions::session and resolve it once into a call-local owned
+// session; nothing below them sees a null session.
 //
-//   * process_default() wraps the existing singletons. Code that never
-//     mentions sessions (the CLI one-shot path, tests, benches) resolves to
-//     it and behaves exactly as before — byte-identical output. It owns no
-//     thread pool: concurrent users of the default context would otherwise
-//     share one, which is the corruption this type exists to prevent.
-//   * Owned sessions (constructed with an id) own private Logger / Tracer /
-//     ProvenanceLog / MetricsRegistry instances plus a lazily built,
-//     persistent ThreadPool that stays warm across flows on the session.
-//
-// Routing: subsystems are threaded BY REFERENCE where the call site already
-// holds the session (flow, optimizer, scheduler, engine spans, provenance
-// writes), and by THREAD-LOCAL for ambient convenience macros (log_info()
-// and the default TraceSpan constructor). SessionScope installs a session's
-// thread-locals on the current thread and — critically — saves/restores the
-// thread-local WORKER ID, so nested pools and the serve loop can't
-// cross-tag log lines or trace rings (a serve thread is worker -1 in its
-// own session even while the flow it runs spins up worker 0..N-1 scopes).
+// Logging is the one exception to per-session ownership: stderr is one
+// stream per process, so there is one process Logger, and a session only
+// contributes its id as the line tag (installed by SessionScope).
 //
 // Concurrency contract: one flow at a time per session. Distinct sessions
 // are fully isolated and may run concurrently; the determinism suite pins
@@ -37,98 +26,58 @@
 // byte-identical to their serial single-session runs.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <string>
 
 #include "trace/metrics.hpp"
 #include "trace/provenance.hpp"
 #include "trace/trace.hpp"
-#include "util/log.hpp"
-#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace rapids {
 
 class SessionContext {
  public:
-  /// Owned session: private logger/tracer/provenance/metrics. `id` keys
-  /// every output stream (metrics label "session.id", provenance
-  /// "session", log-line tag); `rng_seed` roots the session's Rng.
-  explicit SessionContext(std::string id, std::uint64_t rng_seed = 0x5eed5ULL);
-  SessionContext() : SessionContext(std::string()) {}
-  ~SessionContext();
+  /// `id` keys every output stream (metrics label "session.id", provenance
+  /// "session", log-line tag). The one-shot CLI and call-local sessions
+  /// use "default".
+  explicit SessionContext(std::string id);
   SessionContext(const SessionContext&) = delete;
   SessionContext& operator=(const SessionContext&) = delete;
 
-  /// The singleton-backed context every session-unaware caller resolves
-  /// to. Its Logger/Tracer/ProvenanceLog ARE Logger::instance() etc., so
-  /// pre-session code paths (CLI one-shot, tests) are bit-for-bit
-  /// unchanged.
-  static SessionContext& process_default();
-  bool is_process_default() const { return owned_ == nullptr; }
-
   const std::string& id() const { return id_; }
 
-  Logger& logger() { return *logger_; }
-  Tracer& tracer() { return *tracer_; }
-  ProvenanceLog& provenance() { return *provenance_; }
+  Tracer& tracer() { return tracer_; }
+  ProvenanceLog& provenance() { return provenance_; }
   MetricsRegistry& metrics() { return metrics_; }
-  Rng& rng() { return rng_; }
-  std::uint64_t rng_seed() const { return rng_seed_; }
 
   /// The session's persistent worker pool, (re)built lazily at the
   /// requested size and kept warm across flows — the serve amortization.
-  /// Returns null on the process-default context: its users are not
-  /// coordinated, so each (scheduler) must own a private pool exactly as
-  /// before sessions existed.
-  ThreadPool* acquire_pool(int workers);
+  ThreadPool& acquire_pool(int workers);
 
  private:
-  struct Owned {
-    Logger logger;
-    Tracer tracer;
-    ProvenanceLog provenance;
-  };
-  struct DefaultTag {};
-  explicit SessionContext(DefaultTag);
-
-  std::unique_ptr<Owned> owned_;  // null exactly for process_default()
-  Logger* logger_;
-  Tracer* tracer_;
-  ProvenanceLog* provenance_;
-  MetricsRegistry metrics_;
   std::string id_;
-  std::uint64_t rng_seed_;
-  Rng rng_;
+  Tracer tracer_;
+  ProvenanceLog provenance_;
+  MetricsRegistry metrics_;
   std::unique_ptr<ThreadPool> pool_;
 };
 
-/// The session installed on the current thread (process_default() when no
-/// SessionScope is open). log_info()/TraceSpan route through the same
-/// thread-locals, so this is consistent with what ambient code observes.
-SessionContext& current_session();
-SessionContext* current_session_or_null();
-
-/// RAII: install `session`'s logger/tracer/provenance (and the session
-/// itself) as the current thread's ambient context, and set the
-/// thread-local worker id to `worker` — both restored exactly on exit.
+/// RAII: tag the current thread's log lines with `session`'s id and set
+/// the thread-local worker id to `worker` — both restored exactly on exit.
 /// The default worker id -1 means "not inside any worker": a serve thread
 /// entering a session is not a probe worker, whatever pool it happens to
 /// be running on. Scheduler worker jobs open a nested scope with their own
 /// worker index.
 class SessionScope {
  public:
-  explicit SessionScope(SessionContext& session, int worker = -1);
+  explicit SessionScope(const SessionContext& session, int worker = -1);
   ~SessionScope();
   SessionScope(const SessionScope&) = delete;
   SessionScope& operator=(const SessionScope&) = delete;
 
  private:
-  SessionContext* prev_session_;
-  Logger* prev_logger_;
-  Tracer* prev_tracer_;
-  ProvenanceLog* prev_provenance_;
+  const char* prev_tag_;
   int prev_worker_;
 };
 

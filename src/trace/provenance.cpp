@@ -43,25 +43,6 @@ std::uint64_t move_id_round(std::uint64_t id) { return id >> 32; }
 int move_id_group(std::uint64_t id) { return static_cast<int>((id >> 16) & 0xffff); }
 int move_id_index(std::uint64_t id) { return static_cast<int>(id & 0xffff); }
 
-namespace {
-thread_local ProvenanceLog* t_provenance = nullptr;
-}  // namespace
-
-ProvenanceLog& ProvenanceLog::instance() {
-  static ProvenanceLog log;
-  return log;
-}
-
-ProvenanceLog& current_provenance() {
-  return t_provenance != nullptr ? *t_provenance : ProvenanceLog::instance();
-}
-
-ProvenanceLog* exchange_thread_provenance(ProvenanceLog* log) {
-  ProvenanceLog* prev = t_provenance;
-  t_provenance = log;
-  return prev;
-}
-
 void ProvenanceLog::enable() {
   records_.clear();
   enabled_ = true;

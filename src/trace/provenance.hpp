@@ -51,17 +51,14 @@ struct ProvenanceRecord {
   double gain = 0.0;  // stage-relevant gain (replica gain / live gain)
 };
 
-/// Append-only per-run move-decision stream. ProvenanceLog::instance()
-/// remains the process-wide default; each SessionContext owns a private
-/// log so concurrent sessions keep separate streams. The flow enables it
-/// around one optimize() call and dumps after.
+/// Append-only per-run move-decision stream. Every log belongs to a
+/// SessionContext, so concurrent sessions keep separate streams; there is
+/// no process-wide log. The flow's caller enables it around one run and
+/// dumps after.
 class ProvenanceLog {
  public:
   /// Fresh disabled log (a session-private stream).
   ProvenanceLog() = default;
-
-  /// Process-wide log instance (the default-session stream).
-  static ProvenanceLog& instance();
 
   void enable();
   void disable();
@@ -96,16 +93,5 @@ class ProvenanceLog {
   std::string session_id_;
   std::vector<ProvenanceRecord> records_;
 };
-
-/// Provenance log the current thread's ambient recording resolves to: the
-/// thread-installed session log, or ProvenanceLog::instance() when no
-/// session scope is open.
-ProvenanceLog& current_provenance();
-
-/// Install `log` (may be null = fall back to the singleton) as this
-/// thread's ambient provenance log; returns the previous installation so
-/// scopes can restore it exactly. Used by SessionScope — not for general
-/// code.
-ProvenanceLog* exchange_thread_provenance(ProvenanceLog* log);
 
 }  // namespace rapids

@@ -18,24 +18,7 @@ std::uint64_t steady_ns() {
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
-
-thread_local Tracer* t_tracer = nullptr;
 }  // namespace
-
-Tracer& Tracer::instance() {
-  static Tracer tracer;
-  return tracer;
-}
-
-Tracer& current_tracer() {
-  return t_tracer != nullptr ? *t_tracer : Tracer::instance();
-}
-
-Tracer* exchange_thread_tracer(Tracer* tracer) {
-  Tracer* prev = t_tracer;
-  t_tracer = tracer;
-  return prev;
-}
 
 void Tracer::enable(int workers, std::size_t ring_capacity) {
   if (enabled()) {

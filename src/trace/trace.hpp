@@ -1,4 +1,4 @@
-// Flight recorder: process-wide, per-worker ring-buffer trace of the
+// Flight recorder: per-session, per-worker ring-buffer trace of the
 // optimization pipeline, exported as Chrome trace-event JSON (loadable in
 // Perfetto / chrome://tracing).
 //
@@ -27,16 +27,15 @@
 //              SAT proof windows, partition extraction, flow stages.
 //   instants — point events ("i"): commit markers, cache wipes.
 //
-// Instantiable: Tracer::instance() remains the process-wide default, but
-// each SessionContext owns a private Tracer so concurrent sessions record
-// into separate rings. Session-aware code passes the tracer explicitly
-// (TraceSpan's 3-arg constructor); ambient call sites resolve through
-// current_tracer(), a thread-local installed by SessionScope that falls
-// back to the singleton. Flows enable a tracer for a run, export, and
-// disable. Enable/disable must not race active workers (the flow driver
-// toggles it outside any parallel region), and enable() on an
-// already-enabled tracer throws — two overlapping runs sharing rings is
-// exactly the corruption sessions exist to prevent.
+// Ownership: every Tracer belongs to a SessionContext (session/session.hpp)
+// and is passed by reference (TraceSpan takes it explicitly); there is no
+// process-wide tracer. A recorder built outside any session — a unit-test
+// engine or prover — holds a null tracer and records nothing. Flows enable
+// their session's tracer for a run, export, and disable. Enable/disable
+// must not race active workers (the flow driver toggles it outside any
+// parallel region), and enable() on an already-enabled tracer throws — two
+// overlapping runs sharing rings is exactly the corruption sessions exist
+// to prevent.
 #pragma once
 
 #include <atomic>
@@ -64,9 +63,6 @@ class Tracer {
  public:
   /// Fresh disabled tracer (a session-private recorder).
   Tracer() = default;
-
-  /// Process-wide tracer instance (the default-session recorder).
-  static Tracer& instance();
 
   /// Start recording into `workers` rings of `ring_capacity` events each
   /// (events from threads outside any worker scope land in ring 0; worker
@@ -130,32 +126,20 @@ class Tracer {
   std::atomic<std::uint64_t> dropped_out_of_range_{0};
 };
 
-/// Tracer the current thread's ambient trace calls resolve to: the
-/// thread-installed session tracer, or Tracer::instance() when no session
-/// scope is open.
-Tracer& current_tracer();
-
-/// Install `tracer` (may be null = fall back to the singleton) as this
-/// thread's ambient tracer; returns the previous installation so scopes
-/// can restore it exactly. Used by SessionScope — not for general code.
-Tracer* exchange_thread_tracer(Tracer* tracer);
-
 /// RAII span: records one complete event on destruction. Safe to construct
 /// whether or not tracing is enabled (and when disabled costs one relaxed
-/// load per end). Numeric args are attached at end time via set_args().
-///
-/// Session-aware code passes its tracer explicitly (3-arg form); the 2-arg
-/// form records on the current thread's ambient tracer — identical when no
-/// session scope is open.
+/// load per end). A null tracer records nothing. Numeric args are attached
+/// at end time via set_arg()/set_arg2().
 class TraceSpan {
  public:
+  TraceSpan(Tracer* tracer, const char* cat, const char* name)
+      : tracer_(tracer != nullptr && tracer->enabled() ? tracer : nullptr),
+        cat_(cat), name_(name),
+        begin_ns_(tracer_ != nullptr ? tracer_->now_ns() : 0) {}
   TraceSpan(Tracer& tracer, const char* cat, const char* name)
-      : tracer_(&tracer), cat_(cat), name_(name),
-        begin_ns_(tracer.enabled() ? tracer.now_ns() : kDisabled) {}
-  TraceSpan(const char* cat, const char* name)
-      : TraceSpan(current_tracer(), cat, name) {}
+      : TraceSpan(&tracer, cat, name) {}
   ~TraceSpan() {
-    if (begin_ns_ != kDisabled && tracer_->enabled()) {
+    if (tracer_ != nullptr && tracer_->enabled()) {
       tracer_->complete_span(cat_, name_, begin_ns_, arg1_name_, arg1_,
                              arg2_name_, arg2_);
     }
@@ -173,8 +157,7 @@ class TraceSpan {
   }
 
  private:
-  static constexpr std::uint64_t kDisabled = ~std::uint64_t{0};
-  Tracer* tracer_;
+  Tracer* tracer_;  // null when not recording
   const char* cat_;
   const char* name_;
   const char* arg1_name_ = nullptr;

@@ -10,7 +10,7 @@ namespace rapids {
 
 namespace {
 thread_local int t_worker = -1;
-thread_local Logger* t_logger = nullptr;
+thread_local const char* t_log_tag = nullptr;
 }  // namespace
 
 LogLevel parse_log_level(const std::string& name) {
@@ -41,17 +41,19 @@ const char* to_string(LogLevel level) {
 
 int current_worker() { return t_worker; }
 void set_current_worker(int worker) { t_worker = worker; }
+const char* current_log_tag() { return t_log_tag; }
+void set_current_log_tag(const char* tag) { t_log_tag = tag; }
 
 Logger::Logger() {
   sink_ = [](LogLevel level, const std::string& message) {
-    // Lines from probe workers carry the emitting worker id so interleaved
-    // parallel-round output remains attributable.
+    // Lines carry the emitting session's tag and worker id so interleaved
+    // multi-session, parallel-round output stays attributable.
+    std::string prefix = std::string("[rapids:") + to_string(level);
+    if (const char* tag = current_log_tag()) prefix.append(" ").append(tag);
     if (const int w = current_worker(); w >= 0) {
-      std::fprintf(stderr, "[rapids:%s w%d] %s\n", to_string(level), w,
-                   message.c_str());
-    } else {
-      std::fprintf(stderr, "[rapids:%s] %s\n", to_string(level), message.c_str());
+      prefix.append(" w").append(std::to_string(w));
     }
+    std::fprintf(stderr, "%s] %s\n", prefix.c_str(), message.c_str());
   };
 }
 
@@ -60,19 +62,10 @@ Logger& Logger::instance() {
   return logger;
 }
 
-Logger& current_logger() {
-  return t_logger != nullptr ? *t_logger : Logger::instance();
-}
-
-Logger* exchange_thread_logger(Logger* logger) {
-  Logger* prev = t_logger;
-  t_logger = logger;
-  return prev;
-}
-
-void Logger::set_sink(Sink sink) {
+Logger::Sink Logger::set_sink(Sink sink) {
   std::lock_guard<std::mutex> lock(sink_mutex_);
-  sink_ = std::move(sink);
+  std::swap(sink_, sink);
+  return sink;
 }
 
 void Logger::log(LogLevel level, const std::string& message) {

@@ -4,14 +4,14 @@
 // through a single sink so host applications can silence or redirect it.
 //
 // Thread-safe: the level is atomic (lock-free early-out on the hot path)
-// and the sink is invoked under a per-logger mutex, so concurrent probe
+// and the sink is invoked under the logger's mutex, so concurrent probe
 // workers can log without interleaving or racing set_sink/set_level.
 //
-// Instantiable: Logger::instance() remains the process-wide default, but
-// each SessionContext owns a private Logger so concurrent sessions keep
-// separate sinks. Ambient call sites (log_info() etc.) resolve through
-// current_logger(), a thread-local installed by SessionScope that falls
-// back to the singleton — session-unaware code behaves exactly as before.
+// One logger per process: stderr is one stream, so Logger::instance() is
+// the only logger and `--log-level` reaches every flow in the process. A
+// session contributes only its id as a line tag — a thread-local that
+// SessionScope sets, like the worker id — so the default sink prints
+// `[rapids:LEVEL <session-tag> wN] message` (tag and worker when set).
 #pragma once
 
 #include <atomic>
@@ -40,6 +40,11 @@ const char* to_string(LogLevel level);
 int current_worker();
 void set_current_worker(int worker);
 
+/// Session tag of the current thread's log lines (null outside any
+/// SessionScope). The pointee must outlive the scope that installed it.
+const char* current_log_tag();
+void set_current_log_tag(const char* tag);
+
 /// RAII scope for set_current_worker (restores the previous id on exit).
 class WorkerIdScope {
  public:
@@ -58,41 +63,31 @@ class Logger {
  public:
   using Sink = std::function<void(LogLevel, const std::string&)>;
 
-  /// Fresh logger with the default stderr sink and Warning level.
-  Logger();
-
-  /// Process-wide logger instance (the default-session logger).
+  /// The process logger: default stderr sink, Warning level.
   static Logger& instance();
 
   void set_level(LogLevel level) { level_.store(level, std::memory_order_relaxed); }
   LogLevel level() const { return level_.load(std::memory_order_relaxed); }
 
-  /// Replace the output sink (default writes to stderr).
-  void set_sink(Sink sink);
+  /// Replace the output sink (default writes to stderr); returns the
+  /// previous sink so a caller can restore it.
+  Sink set_sink(Sink sink);
 
   void log(LogLevel level, const std::string& message);
 
  private:
+  Logger();
+
   std::atomic<LogLevel> level_{LogLevel::Warning};
   Sink sink_;
   mutable std::mutex sink_mutex_;
 };
 
-/// Logger the current thread's ambient log calls resolve to:
-/// the thread-installed session logger, or Logger::instance() when no
-/// session scope is open.
-Logger& current_logger();
-
-/// Install `logger` (may be null = fall back to the singleton) as this
-/// thread's ambient logger; returns the previous installation so scopes
-/// can restore it exactly. Used by SessionScope — not for general code.
-Logger* exchange_thread_logger(Logger* logger);
-
 namespace detail {
 class LogLine {
  public:
   explicit LogLine(LogLevel level) : level_(level) {}
-  ~LogLine() { current_logger().log(level_, os_.str()); }
+  ~LogLine() { Logger::instance().log(level_, os_.str()); }
   template <typename T>
   LogLine& operator<<(const T& v) {
     os_ << v;

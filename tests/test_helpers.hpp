@@ -4,11 +4,13 @@
 #include <string>
 #include <vector>
 
+#include "flow/flow.hpp"
 #include "gen/random_circuit.hpp"
 #include "library/cell_library.hpp"
 #include "mapping/mapper.hpp"
 #include "netlist/builder.hpp"
 #include "netlist/network.hpp"
+#include "session/session.hpp"
 #include "util/rng.hpp"
 
 namespace rapids::testing {
@@ -63,6 +65,14 @@ inline std::vector<GateId> live_gates(const Network& net) {
 inline const CellLibrary& lib035() {
   static const CellLibrary lib = builtin_library_035();
   return lib;
+}
+
+/// `base` bound to a caller-owned session: the flow's trace spans,
+/// provenance records, metrics and worker pool all belong to `session`.
+inline FlowOptions session_flow_options(SessionContext& session,
+                                        FlowOptions base = {}) {
+  base.opt.session = &session;
+  return base;
 }
 
 /// Map a source network with default options.

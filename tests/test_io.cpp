@@ -107,6 +107,37 @@ TEST(Blif, ErrorsAreReported) {
   EXPECT_THROW((void)read_blif(bad3), InputError);
 }
 
+/// read_blif must reject `text` with an InputError naming `line`.
+void expect_blif_rejected_at(const std::string& text, int line) {
+  std::stringstream ss(text);
+  try {
+    (void)read_blif(ss);
+    ADD_FAILURE() << "accepted:\n" << text;
+  } catch (const InputError& e) {
+    EXPECT_NE(std::string(e.what()).find("blif line " + std::to_string(line) + ":"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Blif, RejectsCoverMaskCharacterOutsideZeroOneDash) {
+  // Used to build y as constant 1: '2' was read as a don't-care.
+  expect_blif_rejected_at(".model m\n.inputs a\n.outputs y\n.names a y\n2 1\n.end\n", 5);
+}
+
+TEST(Blif, RejectsCoverOutputValueOutsideZeroOne) {
+  // Used to build y = NOT a: any value but "1" was read as the off-set.
+  expect_blif_rejected_at(".model m\n.inputs a\n.outputs y\n.names a y\n1 x\n.end\n", 5);
+  // Constant blocks validate their value too.
+  expect_blif_rejected_at(".model m\n.outputs y\n.names y\n2\n.end\n", 4);
+}
+
+TEST(Blif, RejectsCoverRowsMixingOutputValues) {
+  // Used to build y = a XOR b: the last row's value applied to every row.
+  expect_blif_rejected_at(
+      ".model m\n.inputs a b\n.outputs y\n.names a b y\n11 1\n00 0\n.end\n", 6);
+}
+
 TEST(Bench, ParsesIscasStyle) {
   std::stringstream ss(
       "# c-example\n"

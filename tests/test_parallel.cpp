@@ -22,6 +22,7 @@
 #include "parallel/conflict.hpp"
 #include "parallel/probe_context.hpp"
 #include "parallel/scheduler.hpp"
+#include "session/session.hpp"
 #include "place/placer.hpp"
 #include "rewire/cross_sg.hpp"
 #include "sym/gisg.hpp"
@@ -38,6 +39,7 @@ namespace rapids {
 namespace {
 
 using rapids::testing::lib035;
+using rapids::testing::session_flow_options;
 
 // --- thread pool -------------------------------------------------------------
 
@@ -534,9 +536,10 @@ TEST(Scheduler, RoundCommitsImproveOrHold) {
   Placement pl = place(net, lib035(), popt);
   Sta sta(net, lib035(), pl);
   RewireEngine engine(net, pl, lib035(), sta);
+  SessionContext session("default");
   SchedulerOptions sopt;
   sopt.threads = 4;
-  ParallelRewireScheduler sched(engine, sopt);
+  ParallelRewireScheduler sched(engine, session, sopt);
 
   std::vector<ProbeGroup> groups;
   const GisgPartition& part = engine.partition();
@@ -570,18 +573,18 @@ TEST(Scheduler, GainHistogramCountsOnlyTimingCommits) {
   base.verify = false;
   const PreparedCircuit prepared = prepare_benchmark("c432", lib035(), base);
   for (const int threads : {1, 4}) {
-    FlowOptions o = base;
+    SessionContext session("gain-hist");
+    FlowOptions o = session_flow_options(session, base);
     o.opt.threads = threads;
-    ProvenanceLog::instance().enable();  // enable() resets the record stream
+    session.provenance().enable();
     const ModeRun run = run_mode(prepared, lib035(), OptMode::GsgPlusGS, o);
     std::int64_t committed = 0;
     std::int64_t first_fit = 0;
-    for (const ProvenanceRecord& rec : ProvenanceLog::instance().records()) {
+    for (const ProvenanceRecord& rec : session.provenance().records()) {
       if (rec.stage != ProvenanceStage::Committed) continue;
       ++committed;
       if (move_id_round(rec.move_id) == run.result.sched_rounds) ++first_fit;
     }
-    ProvenanceLog::instance().disable();
     EXPECT_EQ(committed, run.result.swaps_committed + run.result.resizes_committed)
         << "threads=" << threads;
     EXPECT_GT(first_fit, 0) << "threads=" << threads;  // area recovery ran
@@ -603,19 +606,19 @@ struct ThreadRun {
 
 ThreadRun run_threads(const PreparedCircuit& prepared, const FlowOptions& base,
                       int threads) {
-  FlowOptions o = base;
+  SessionContext session("threads");
+  FlowOptions o = session_flow_options(session, base);
   o.opt.threads = threads;
-  ProvenanceLog::instance().enable();  // enable() resets the record stream
+  session.provenance().enable();
   const ModeRun run = run_mode(prepared, lib035(), OptMode::GsgPlusGS, o);
   ThreadRun out;
   std::string diag;
-  out.chains = ProvenanceLog::instance().resolve_committed_chains(&diag);
-  for (const ProvenanceRecord& rec : ProvenanceLog::instance().records()) {
+  out.chains = session.provenance().resolve_committed_chains(&diag);
+  for (const ProvenanceRecord& rec : session.provenance().records()) {
     if (rec.stage == ProvenanceStage::Committed) {
       out.commits.emplace_back(rec.move_id, rec.gain);
     }
   }
-  ProvenanceLog::instance().disable();
   out.blif = blif_of(run.optimized);
   out.final_delay = run.result.final_delay;
   return out;

@@ -3,6 +3,7 @@
 // equivalent one-shot flow.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -13,6 +14,7 @@
 #include "serve/serve.hpp"
 #include "test_helpers.hpp"
 #include "util/assert.hpp"
+#include "util/log.hpp"
 
 namespace rapids {
 namespace {
@@ -66,6 +68,32 @@ TEST(Serve, RejectsMalformedJobLines) {
   EXPECT_THROW(parse_serve_job("id ckt threads=0", 0), InputError);
 }
 
+TEST(Serve, ProcessLogLevelReachesServedJobs) {
+  // One process logger: the level `--log-level` sets must reach a served
+  // job's flow lines, and each line carries the job's session tag.
+  Logger& logger = Logger::instance();
+  const LogLevel old_level = logger.level();
+  std::vector<std::string> captured;
+  const Logger::Sink old_sink =
+      logger.set_sink([&captured](LogLevel, const std::string& message) {
+        const char* tag = current_log_tag();
+        captured.push_back(std::string(tag != nullptr ? tag : "") + "|" + message);
+      });
+  logger.set_level(LogLevel::Info);
+  const ServeJobResult r =
+      run_serve_job(parse_serve_job("logjob c432 effort=1 iters=1", 0));
+  logger.set_level(old_level);
+  logger.set_sink(old_sink);
+
+  EXPECT_TRUE(r.ok) << r.error;
+  const bool found = std::any_of(
+      captured.begin(), captured.end(), [](const std::string& line) {
+        return line.rfind("logjob|c432: ", 0) == 0 &&
+               line.find(" cells, init delay") != std::string::npos;
+      });
+  EXPECT_TRUE(found) << captured.size() << " lines captured";
+}
+
 TEST(ServeSlow, BatchJobsMatchOneShotFlows) {
   const std::string dir = ::testing::TempDir();
   std::vector<ServeJob> jobs = {
@@ -87,7 +115,7 @@ TEST(ServeSlow, BatchJobsMatchOneShotFlows) {
   }
 
   // Reference: the same flows through the flow API directly (what the
-  // one-shot CLI runs), on the process-default context — the served BLIF
+  // one-shot CLI runs), each on a call-local session — the served BLIF
   // must match byte for byte.
   for (const ServeJob& job : jobs) {
     FlowOptions options_ref;

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "flow/flow.hpp"
+#include "gen/suite.hpp"
 #include "io/blif_writer.hpp"
 #include "session/session.hpp"
 #include "test_helpers.hpp"
@@ -22,64 +23,35 @@ namespace rapids {
 namespace {
 
 using rapids::testing::lib035;
+using rapids::testing::session_flow_options;
 
 TEST(Session, ScopeInstallsAndRestoresThreadContext) {
-  ASSERT_EQ(current_session_or_null(), nullptr);
-  Logger* prev_logger = &current_logger();
-  Tracer* prev_tracer = &current_tracer();
+  const char* prev_tag = current_log_tag();
   const int prev_worker = current_worker();
 
   SessionContext s("scope-test");
-  EXPECT_FALSE(s.is_process_default());
   {
     SessionScope scope(s, 3);
-    EXPECT_EQ(&current_session(), &s);
-    EXPECT_EQ(current_session_or_null(), &s);
-    EXPECT_EQ(&current_logger(), &s.logger());
-    EXPECT_EQ(&current_tracer(), &s.tracer());
-    EXPECT_EQ(&current_provenance(), &s.provenance());
+    EXPECT_STREQ(current_log_tag(), "scope-test");
     EXPECT_EQ(current_worker(), 3);
     {
       SessionContext inner("inner");
       SessionScope nested(inner, 7);
-      EXPECT_EQ(&current_session(), &inner);
-      EXPECT_EQ(&current_tracer(), &inner.tracer());
+      EXPECT_STREQ(current_log_tag(), "inner");
       EXPECT_EQ(current_worker(), 7);
     }
-    // The nested scope restored the outer session AND its worker id.
-    EXPECT_EQ(&current_session(), &s);
-    EXPECT_EQ(&current_tracer(), &s.tracer());
+    // The nested scope restored the outer session's tag AND its worker id.
+    EXPECT_STREQ(current_log_tag(), "scope-test");
     EXPECT_EQ(current_worker(), 3);
   }
-  EXPECT_EQ(current_session_or_null(), nullptr);
-  EXPECT_EQ(&current_logger(), prev_logger);
-  EXPECT_EQ(&current_tracer(), prev_tracer);
+  EXPECT_EQ(current_log_tag(), prev_tag);
   EXPECT_EQ(current_worker(), prev_worker);
-}
-
-TEST(Session, ProcessDefaultWrapsSingletons) {
-  SessionContext& def = SessionContext::process_default();
-  EXPECT_TRUE(def.is_process_default());
-  EXPECT_EQ(def.id(), "default");
-  EXPECT_EQ(&def.logger(), &Logger::instance());
-  EXPECT_EQ(&def.tracer(), &Tracer::instance());
-  EXPECT_EQ(&def.provenance(), &ProvenanceLog::instance());
-  // The default context lends no pool: callers own their workers, exactly
-  // as before sessions existed.
-  EXPECT_EQ(def.acquire_pool(4), nullptr);
-  // Scoping the default context clears the thread-locals so the ambient
-  // accessors fall back to the singletons.
-  SessionScope scope(def, 0);
-  EXPECT_EQ(current_session_or_null(), nullptr);
-  EXPECT_EQ(&current_session(), &def);
-  EXPECT_EQ(&current_tracer(), &Tracer::instance());
 }
 
 TEST(Session, OwnedSessionsAreIsolated) {
   SessionContext a("a"), b("b");
   EXPECT_NE(&a.tracer(), &b.tracer());
   EXPECT_NE(&a.provenance(), &b.provenance());
-  EXPECT_NE(&a.tracer(), &Tracer::instance());
   EXPECT_EQ(a.provenance().session_id(), "a");
   EXPECT_EQ(b.provenance().session_id(), "b");
   std::ostringstream ma;
@@ -89,14 +61,11 @@ TEST(Session, OwnedSessionsAreIsolated) {
 
 TEST(Session, OwnedPoolIsPersistentAndResizable) {
   SessionContext s("pool");
-  ThreadPool* p2 = s.acquire_pool(2);
-  ASSERT_NE(p2, nullptr);
+  ThreadPool* p2 = &s.acquire_pool(2);
   EXPECT_EQ(p2->workers(), 2);
   // Same size: the warm pool is reused, not respawned.
-  EXPECT_EQ(s.acquire_pool(2), p2);
-  ThreadPool* p3 = s.acquire_pool(3);
-  ASSERT_NE(p3, nullptr);
-  EXPECT_EQ(p3->workers(), 3);
+  EXPECT_EQ(&s.acquire_pool(2), p2);
+  EXPECT_EQ(s.acquire_pool(3).workers(), 3);
 }
 
 TEST(Session, TracerDoubleEnableThrows) {
@@ -147,13 +116,12 @@ struct FlowArtifacts {
   std::string metrics;
 };
 
-FlowOptions session_flow(SessionContext& session) {
+FlowOptions quick_flow() {
   FlowOptions o;
   o.placer.effort = 1.0;
   o.placer.num_temps = 6;
   o.opt.max_iterations = 2;
   o.opt.threads = 2;
-  o.session = &session;
   return o;
 }
 
@@ -172,10 +140,10 @@ std::string strip_wall_clock(const std::string& json) {
 }
 
 FlowArtifacts run_session_flow(const std::string& id, const std::string& circuit) {
-  SessionContext session(id, /*rng_seed=*/42);
+  SessionContext session(id);
   SessionScope scope(session);
   session.provenance().enable();
-  const FlowOptions options = session_flow(session);
+  const FlowOptions options = session_flow_options(session, quick_flow());
   PreparedCircuit prepared = prepare_benchmark(circuit, lib035(), options);
   const ModeRun run =
       run_mode(std::move(prepared), lib035(), OptMode::GsgPlusGS, options);
@@ -223,6 +191,35 @@ TEST(SessionConcurrencySlow, ConcurrentFlowsMatchSerialRunsByteForByte) {
   EXPECT_EQ(conc_c499.provenance, serial_c499.provenance);
   EXPECT_EQ(conc_c432.metrics, serial_c432.metrics);
   EXPECT_EQ(conc_c499.metrics, serial_c499.metrics);
+}
+
+// The perfbench call shape — prepare_circuit and run_mode(&&) with no
+// session — resolves to a call-local session at each entry point and must
+// write the same BLIF as the same flow on a caller-owned session.
+TEST(Session, SessionlessRunModeMatchesOwnedSession) {
+  const Network src = make_benchmark("c432");
+  for (const int threads : {1, 4}) {
+    FlowOptions options = quick_flow();
+    options.opt.threads = threads;
+    PreparedCircuit bare = prepare_circuit("c432", src, lib035(), options);
+    const ModeRun bare_run =
+        run_mode(std::move(bare), lib035(), OptMode::GsgPlusGS, options);
+
+    SessionContext session("owned");
+    const FlowOptions owned_options = session_flow_options(session, options);
+    PreparedCircuit owned = prepare_circuit("c432", src, lib035(), owned_options);
+    const ModeRun owned_run =
+        run_mode(std::move(owned), lib035(), OptMode::GsgPlusGS, owned_options);
+
+    std::ostringstream bare_blif, owned_blif;
+    write_blif(bare_run.optimized, bare_blif, "c432");
+    write_blif(owned_run.optimized, owned_blif, "c432");
+    EXPECT_TRUE(bare_run.verified) << "threads=" << threads;
+    EXPECT_EQ(bare_blif.str(), owned_blif.str()) << "threads=" << threads;
+    // Every session collects its flow metrics, owned or call-local.
+    EXPECT_GT(session.metrics().counter("scheduler.rounds"), 0u)
+        << "threads=" << threads;
+  }
 }
 
 }  // namespace

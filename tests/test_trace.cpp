@@ -14,6 +14,7 @@
 
 #include "flow/flow.hpp"
 #include "io/blif_writer.hpp"
+#include "session/session.hpp"
 #include "trace/bench_diff.hpp"
 #include "trace/metrics.hpp"
 #include "trace/provenance.hpp"
@@ -30,6 +31,7 @@ namespace rapids {
 namespace {
 
 using rapids::testing::lib035;
+using rapids::testing::session_flow_options;
 
 // --- histogram percentiles ---------------------------------------------------
 
@@ -191,18 +193,21 @@ TEST(MetricsRegistry, JsonSnapshotRoundTripsThroughJsonLite) {
 // --- tracer ------------------------------------------------------------------
 
 TEST(Tracer, DisabledRecordsNothing) {
-  Tracer& t = Tracer::instance();
-  t.disable();
+  SessionContext session("test");
+  Tracer& t = session.tracer();
   t.instant("test", "never");
-  { TraceSpan span("test", "never_span"); }
+  { TraceSpan span(t, "test", "never_span"); }
+  { TraceSpan span(nullptr, "test", "no_tracer"); }  // outside any session
   EXPECT_FALSE(t.enabled());
+  EXPECT_EQ(t.recorded(), 0u);
 }
 
 TEST(Tracer, RecordsSpansAndInstantsAndExportsValidJson) {
-  Tracer& t = Tracer::instance();
+  SessionContext session("test");
+  Tracer& t = session.tracer();
   t.enable(2, 64);
   {
-    TraceSpan span("testcat", "outer");
+    TraceSpan span(t, "testcat", "outer");
     span.set_arg("k", 42);
     t.instant("testcat", "tick", "n", 7);
   }
@@ -221,7 +226,8 @@ TEST(Tracer, RecordsSpansAndInstantsAndExportsValidJson) {
 }
 
 TEST(Tracer, RingWrapsOverwritingOldestAndCountsDrops) {
-  Tracer& t = Tracer::instance();
+  SessionContext session("test");
+  Tracer& t = session.tracer();
   t.enable(1, 4);
   for (int i = 0; i < 10; ++i) t.instant("wrap", "e");
   t.disable();
@@ -235,7 +241,8 @@ TEST(Tracer, RingWrapsOverwritingOldestAndCountsDrops) {
 }
 
 TEST(Tracer, EventsLandOnTheCurrentWorkersRing) {
-  Tracer& t = Tracer::instance();
+  SessionContext session("test");
+  Tracer& t = session.tracer();
   t.enable(4, 64);
   ThreadPool pool(4);
   pool.run([&](int w) {
@@ -303,7 +310,8 @@ TEST(Provenance, MoveIdPacksAndUnpacks) {
 }
 
 TEST(Provenance, ResolvesWellFormedChains) {
-  ProvenanceLog& log = ProvenanceLog::instance();
+  SessionContext session("test");
+  ProvenanceLog& log = session.provenance();
   log.enable();
   const std::uint64_t a = make_move_id(1, 0, 3);
   const std::uint64_t b = make_move_id(1, 1, 0);
@@ -319,7 +327,8 @@ TEST(Provenance, ResolvesWellFormedChains) {
 }
 
 TEST(Provenance, DetectsOrphanCommit) {
-  ProvenanceLog& log = ProvenanceLog::instance();
+  SessionContext session("test");
+  ProvenanceLog& log = session.provenance();
   log.enable();
   log.record(make_move_id(3, 2, 1), ProvenanceStage::Committed, 1.0);
   std::string diag;
@@ -329,7 +338,8 @@ TEST(Provenance, DetectsOrphanCommit) {
 }
 
 TEST(Provenance, JsonDumpParsesAndNamesStages) {
-  ProvenanceLog& log = ProvenanceLog::instance();
+  SessionContext session("test");
+  ProvenanceLog& log = session.provenance();
   log.enable();
   const std::uint64_t id = make_move_id(2, 4, 1);
   log.record(id, ProvenanceStage::ProbeWin, 0.25);
@@ -421,38 +431,35 @@ TEST(TraceDeterminismSlow, TracingAndThreadsProduceIdenticalNetlists) {
   const PreparedCircuit prepared = prepare_benchmark("c499", lib035(), base);
 
   // Reference: tracing off, serial.
-  Tracer::instance().disable();
-  ProvenanceLog::instance().disable();
   FlowOptions serial = base;
   serial.opt.threads = 1;
   const ModeRun plain = run_mode(prepared, lib035(), OptMode::GsgPlusGS, serial);
 
   // Tracing + provenance on, serial.
-  Tracer::instance().enable(1);
-  ProvenanceLog::instance().enable();
-  const ModeRun traced1 = run_mode(prepared, lib035(), OptMode::GsgPlusGS, serial);
-  Tracer::instance().disable();
+  SessionContext session1("traced1");
+  session1.tracer().enable(1);
+  session1.provenance().enable();
+  const ModeRun traced1 = run_mode(prepared, lib035(), OptMode::GsgPlusGS,
+                                   session_flow_options(session1, serial));
+  session1.tracer().disable();
   std::ostringstream trace1;
-  Tracer::instance().write_chrome_trace(trace1);
+  session1.tracer().write_chrome_trace(trace1);
   std::string diag;
-  const int chains1 =
-      ProvenanceLog::instance().resolve_committed_chains(&diag);
-  ProvenanceLog::instance().disable();
+  const int chains1 = session1.provenance().resolve_committed_chains(&diag);
 
   // Tracing + provenance on, 4 workers.
   FlowOptions parallel = base;
   parallel.opt.threads = 4;
-  Tracer::instance().enable(4);
-  ProvenanceLog::instance().enable();
-  const ModeRun traced4 = run_mode(prepared, lib035(), OptMode::GsgPlusGS, parallel);
-  Tracer::instance().disable();
+  SessionContext session4("traced4");
+  session4.tracer().enable(4);
+  session4.provenance().enable();
+  const ModeRun traced4 = run_mode(prepared, lib035(), OptMode::GsgPlusGS,
+                                   session_flow_options(session4, parallel));
+  session4.tracer().disable();
   std::ostringstream trace4;
-  Tracer::instance().write_chrome_trace(trace4);
-  const int chains4 =
-      ProvenanceLog::instance().resolve_committed_chains(&diag);
-  const std::vector<ProvenanceRecord> records4 =
-      ProvenanceLog::instance().records();
-  ProvenanceLog::instance().disable();
+  session4.tracer().write_chrome_trace(trace4);
+  const int chains4 = session4.provenance().resolve_committed_chains(&diag);
+  const std::vector<ProvenanceRecord>& records4 = session4.provenance().records();
 
   // The headline: observation and worker count change NOTHING.
   EXPECT_EQ(blif_of(plain.optimized), blif_of(traced1.optimized));

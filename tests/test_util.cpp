@@ -134,12 +134,13 @@ TEST(Log, SinkReceivesMessagesAtLevel) {
   Logger& logger = Logger::instance();
   const LogLevel old_level = logger.level();
   std::vector<std::string> captured;
-  logger.set_sink([&captured](LogLevel, const std::string& m) { captured.push_back(m); });
+  const Logger::Sink old_sink = logger.set_sink(
+      [&captured](LogLevel, const std::string& m) { captured.push_back(m); });
   logger.set_level(LogLevel::Info);
   log_info() << "hello " << 42;
   log_debug() << "filtered";
   logger.set_level(old_level);
-  logger.set_sink({});
+  logger.set_sink(old_sink);  // the one process logger: restore stderr
   ASSERT_EQ(captured.size(), 1u);
   EXPECT_EQ(captured[0], "hello 42");
 }

@@ -34,7 +34,10 @@
 //       a machine-readable counter/gauge/histogram snapshot, --provenance
 //       the per-move decision stream (probe win -> arbitration verdict ->
 //       commit/rollback -> proof verdict). All three only OBSERVE: the
-//       optimized netlist is byte-identical with them on or off.
+//       optimized netlist is byte-identical with them on or off. The flow
+//       runs on one SessionContext with id "default", which keys the
+//       metrics ("session.id") and provenance ("session") dumps and tags
+//       the flow's log lines.
 //
 //   rapids serve [--jobs file] [--max-concurrent N]
 //       Long-lived multi-job driver: read job lines (`<id> <circuit>
@@ -43,7 +46,7 @@
 //       SessionContext (private tracer/metrics/provenance, persistent
 //       worker pool) — and write per-job artifacts keyed by session id.
 //       Each job's outputs are byte-identical to the equivalent one-shot
-//       `rapids flow` invocation.
+//       `rapids flow` invocation; its log lines carry the job id as tag.
 //
 //   rapids bench-diff <baseline.json> <current.json>
 //          [--fail-above pattern=pct]... [--fail-below pattern=pct]...
@@ -81,6 +84,11 @@
 //
 //   rapids list
 //       Show the built-in benchmark suite.
+//
+//   --log-level debug|info|warn|error|off (any position, any subcommand)
+//       Threshold of the one process logger, which every flow and serve
+//       job logs through. Lines read `[rapids:LEVEL <session-tag> wN] msg`;
+//       the session tag and worker id appear when set.
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -100,6 +108,7 @@
 #include "mapping/mapper.hpp"
 #include "opt/fanout_opt.hpp"
 #include "serve/serve.hpp"
+#include "session/session.hpp"
 #include "sym/gisg.hpp"
 #include "sym/symmetry.hpp"
 #include "trace/bench_diff.hpp"
@@ -236,13 +245,19 @@ int cmd_flow(const std::vector<std::string>& args) {
   }
   if (target.empty()) throw InputError("flow: no circuit given");
 
+  // The one-shot flow runs on one session, built the way `rapids serve`
+  // builds one per job; its id keys the metrics and provenance dumps and
+  // tags this flow's log lines.
+  SessionContext session("default");
+  SessionScope scope(session);
+  options.opt.session = &session;
   // Observation-only instrumentation: enabled before any flow stage runs so
   // map/place land on the trace too. Neither recorder feeds anything back
   // into the optimization — the netlist is byte-identical with them off.
   if (!out_trace.empty()) {
-    Tracer::instance().enable(std::max(options.opt.threads, 1));
+    session.tracer().enable(std::max(options.opt.threads, 1));
   }
-  if (!out_provenance.empty()) ProvenanceLog::instance().enable();
+  if (!out_provenance.empty()) session.provenance().enable();
 
   const CellLibrary lib = builtin_library_035();
   const Network src = load_circuit(target);
@@ -327,7 +342,7 @@ int cmd_flow(const std::vector<std::string>& args) {
   }
 
   if (!out_trace.empty()) {
-    Tracer& tracer = Tracer::instance();
+    Tracer& tracer = session.tracer();
     tracer.disable();  // workers are quiescent; freeze before exporting
     std::ofstream os(out_trace);
     if (!os) throw InputError("cannot write " + out_trace);
@@ -336,20 +351,18 @@ int cmd_flow(const std::vector<std::string>& args) {
               << " events, " << tracer.dropped() << " dropped)\n";
   }
   if (!out_metrics.empty()) {
-    MetricsRegistry reg;
-    // The one-shot path runs on the process-default session context.
-    reg.set_label("session.id", "default");
+    // run_mode collected the flow metrics into the session's registry.
+    MetricsRegistry& reg = session.metrics();
     reg.set_label("circuit", target);
     reg.set_label("mode", to_string(mode));
     reg.set_label("threads", std::to_string(r.threads));
-    collect_flow_metrics(reg, r);
     std::ofstream os(out_metrics);
     if (!os) throw InputError("cannot write " + out_metrics);
     reg.write_json(os);
     std::cout << "wrote " << out_metrics << " (" << reg.size() << " metrics)\n";
   }
   if (!out_provenance.empty()) {
-    ProvenanceLog& prov = ProvenanceLog::instance();
+    ProvenanceLog& prov = session.provenance();
     prov.disable();
     std::string diag;
     const int chains = prov.resolve_committed_chains(&diag);
@@ -572,7 +585,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> all(argv + 1, argv + argc);
   try {
     // --log-level is global (any position, any subcommand): strip it here
-    // and set the process-wide logger before dispatch.
+    // and set the process logger before dispatch.
     for (std::size_t i = 0; i < all.size();) {
       if (all[i] == "--log-level") {
         if (i + 1 >= all.size()) throw InputError("missing value after --log-level");
