@@ -7,21 +7,32 @@
 // One commit = apply a swap candidate and keep it (the matching measurement
 //              commits each swap and then commits its exact inverse, so the
 //              circuit is back in its initial state when the clock stops).
+// One placer move = one annealing move of place() at default PlacerOptions
+//              (the flow's placer); the rate divides the moves of whole
+//              place() calls (die sizing, seed, annealing, legalization)
+//              by their wall time. "place_hpwl" is the total HPWL of that
+//              placement: deterministic, so any placer change that moves a
+//              single coordinate shows in it.
 //
 // Usage: micro_engine [--out BENCH_engine.json] [--circuits a,b,c]
 //                     [--min-time SECONDS] [--baseline FILE] [--threads N]
-//   --baseline merges "probes_per_sec" of a previous run into the report as
-//   "baseline_probes_per_sec" (the pre-refactor anchor in acceptance gates).
+//   --baseline merges "probes_per_sec" and "place_moves_per_sec" of a
+//   previous run into the report as "baseline_probes_per_sec" and
+//   "baseline_place_moves_per_sec" (measure the baseline build in the same
+//   session, on the same host).
 //   --threads N additionally measures the parallel scheduler's probe
 //   throughput at N workers over the same candidates, so the report records
 //   serial and parallel throughput against the same baseline (N=0 skips;
 //   default 2). bench/parallel_scaling sweeps thread counts in depth.
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <fstream>
+#include <iomanip>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "engine/rewire_engine.hpp"
@@ -31,6 +42,7 @@
 #include "parallel/scheduler.hpp"
 #include "session/session.hpp"
 #include "place/placer.hpp"
+#include "place/wirelength.hpp"
 #include "sym/gisg.hpp"
 #include "sym/symmetry.hpp"
 #include "timing/sta.hpp"
@@ -48,7 +60,22 @@ struct CircuitReport {
   double commits_per_sec = 0.0;
   double parallel_probes_per_sec = 0.0;
   int parallel_threads = 0;
+  double place_moves_per_sec = 0.0;
+  double place_hpwl = 0.0;
 };
+
+/// Annealing moves of one place() call: num_temps * moves per temperature,
+/// where moves per temperature = max(64, effort * row cells).
+double placer_moves(const Network& net, const PlacerOptions& popt) {
+  std::size_t cells = 0;
+  net.for_each_gate([&](GateId g) {
+    const GateType t = net.type(g);
+    if (is_logic(t) || t == GateType::Const0 || t == GateType::Const1) ++cells;
+  });
+  const int per_temp =
+      std::max(64, static_cast<int>(popt.effort * static_cast<double>(cells)));
+  return static_cast<double>(popt.num_temps) * per_temp;
+}
 
 CircuitReport measure(const std::string& name, const CellLibrary& lib,
                       double min_time, int threads) {
@@ -64,6 +91,20 @@ CircuitReport measure(const std::string& name, const CellLibrary& lib,
   RewireEngine engine(net, pl, lib, sta);
 
   rep.cells = net.num_logic_gates();
+
+  // Placer throughput at the flow's default options.
+  {
+    const PlacerOptions flow_popt;
+    rep.place_hpwl = total_hpwl(net, place(net, lib, flow_popt));
+    Timer t;
+    std::size_t calls = 0;
+    do {
+      place(net, lib, flow_popt);
+      ++calls;
+    } while (t.seconds() < min_time);
+    rep.place_moves_per_sec =
+        static_cast<double>(calls) * placer_moves(net, flow_popt) / t.seconds();
+  }
   const std::vector<SwapCandidate> swaps = enumerate_all_swaps(engine.partition(), net);
   rep.candidates = swaps.size();
   if (swaps.empty()) return rep;
@@ -123,16 +164,19 @@ CircuitReport measure(const std::string& name, const CellLibrary& lib,
   return rep;
 }
 
-/// Extract `"probes_per_sec": <num>` values of a previous report, keyed by
-/// the preceding `"name": "<circuit>"`. Tiny fixed-shape scan, not a JSON
-/// parser; good enough for our own output format.
-double parse_probes(const std::string& text, const std::string& circuit) {
+/// Extract the `"<field>": <num>` value of a previous report's circuit
+/// line, keyed by its leading `"name": "<circuit>"`. Tiny fixed-shape scan,
+/// not a JSON parser; good enough for our own one-line-per-circuit output.
+double parse_field(const std::string& text, const std::string& circuit,
+                   const std::string& field) {
   const std::string key = "\"name\": \"" + circuit + "\"";
-  std::size_t at = text.find(key);
-  if (at == std::string::npos) return 0.0;
-  at = text.find("\"probes_per_sec\":", at);
-  if (at == std::string::npos) return 0.0;
-  return std::strtod(text.c_str() + at + std::strlen("\"probes_per_sec\":"), nullptr);
+  const std::size_t begin = text.find(key);
+  if (begin == std::string::npos) return 0.0;
+  const std::size_t end = text.find('\n', begin);
+  const std::string pattern = ", \"" + field + "\": ";
+  const std::size_t at = text.find(pattern, begin);
+  if (at == std::string::npos || at > end) return 0.0;
+  return std::strtod(text.c_str() + at + pattern.size(), nullptr);
 }
 
 }  // namespace
@@ -208,9 +252,10 @@ int main(int argc, char** argv) {
 
   std::ostringstream json;
   json << "{\n  \"bench\": \"micro_engine\",\n  \"unit\": \"ops/sec\",\n"
+       << "  \"hardware_threads\": " << std::thread::hardware_concurrency() << ",\n"
        << "  \"circuits\": [\n";
-  double geo_probe = 1.0, geo_ratio = 1.0;
-  int n_ratio = 0, n_probe = 0;
+  double geo_probe = 1.0, geo_ratio = 1.0, geo_place_ratio = 1.0;
+  int n_ratio = 0, n_probe = 0, n_place_ratio = 0;
   for (std::size_t i = 0; i < reports.size(); ++i) {
     const CircuitReport& r = reports[i];
     json << "    {\"name\": \"" << r.name << "\", \"cells\": " << r.cells
@@ -226,13 +271,24 @@ int main(int argc, char** argv) {
              << r.parallel_probes_per_sec / r.probes_per_sec;
       }
     }
+    json << ", \"place_moves_per_sec\": " << static_cast<long long>(r.place_moves_per_sec)
+         << ", \"place_hpwl\": " << std::setprecision(17) << r.place_hpwl
+         << std::setprecision(6);
     if (!baseline_text.empty()) {
-      const double base = parse_probes(baseline_text, r.name);
+      const double base = parse_field(baseline_text, r.name, "probes_per_sec");
       if (base > 0.0) {
         json << ", \"baseline_probes_per_sec\": " << static_cast<long long>(base)
              << ", \"speedup\": " << r.probes_per_sec / base;
         geo_ratio *= r.probes_per_sec / base;
         ++n_ratio;
+      }
+      const double place_base = parse_field(baseline_text, r.name, "place_moves_per_sec");
+      if (place_base > 0.0) {
+        json << ", \"baseline_place_moves_per_sec\": "
+             << static_cast<long long>(place_base)
+             << ", \"place_speedup\": " << r.place_moves_per_sec / place_base;
+        geo_place_ratio *= r.place_moves_per_sec / place_base;
+        ++n_place_ratio;
       }
     }
     json << "}" << (i + 1 < reports.size() ? "," : "") << "\n";
@@ -248,6 +304,10 @@ int main(int argc, char** argv) {
        << static_cast<long long>(n_probe > 0 ? std::pow(geo_probe, 1.0 / n_probe) : 0);
   if (n_ratio > 0) {
     json << ",\n  \"geomean_speedup\": " << std::pow(geo_ratio, 1.0 / n_ratio);
+  }
+  if (n_place_ratio > 0) {
+    json << ",\n  \"geomean_place_speedup\": "
+         << std::pow(geo_place_ratio, 1.0 / n_place_ratio);
   }
   json << "\n}\n";
 

@@ -11,6 +11,7 @@
 #include "trace/trace.hpp"
 #include "util/assert.hpp"
 #include "util/log.hpp"
+#include "util/timer.hpp"
 #include "verify/equivalence.hpp"
 
 namespace rapids {
@@ -25,11 +26,16 @@ PreparedCircuit prepare_circuit(const std::string& name, const Network& src,
   Tracer& tracer = session.tracer();
   PreparedCircuit prepared;
   prepared.name = name;
+  // Stage wall times go to the session's metrics whether or not the
+  // tracer records the matching spans.
+  MetricsRegistry& metrics = session.metrics();
   Network mapped_net;
   {
     TraceSpan map_span(tracer, "flow", "map");
+    const Timer timer;
     MapResult mapped = map_network(src, lib);
     mapped_net = std::move(mapped.mapped);
+    metrics.set_gauge("time.map_s", timer.seconds());
   }
   prepared.mapped = std::move(mapped_net);
 
@@ -41,12 +47,16 @@ PreparedCircuit prepare_circuit(const std::string& name, const Network& src,
   }
   {
     TraceSpan place_span(tracer, "flow", "place");
+    const Timer timer;
     prepared.placement = place(prepared.mapped, lib, popt);
+    metrics.set_gauge("time.place_s", timer.seconds());
   }
 
   TraceSpan sta_span(tracer, "flow", "initial_sta");
+  const Timer sta_timer;
   Sta sta(prepared.mapped, lib, prepared.placement);
   prepared.initial_delay = sta.critical_delay();
+  metrics.set_gauge("time.initial_sta_s", sta_timer.seconds());
   prepared.initial_area = 0.0;
   prepared.mapped.for_each_gate([&](GateId g) {
     const std::int32_t c = prepared.mapped.cell(g);

@@ -4,7 +4,8 @@
 // rewiring engine only needs every cell to have a fixed, realistic location
 // with wirelength structure that a placer would produce. Three stages:
 //   1. levelized seed placement (x ~ logic level, y spread within level);
-//   2. simulated-annealing refinement of (criticality-weighted) HPWL;
+//   2. simulated-annealing refinement of (criticality-weighted) HPWL,
+//      scored from flat per-net pin tables and a per-net HPWL cache;
 //   3. row legalization (snap to rows, remove overlaps, keep order).
 // Deterministic for a given seed.
 #pragma once
@@ -32,7 +33,8 @@ struct PlacerOptions {
 
 /// Place all live gates of `net`. Logic gates (and Consts) go into rows;
 /// Input/Output markers become pads on the die boundary (left for inputs,
-/// right for outputs).
+/// right for outputs). Throws InputError unless `options.effort` is finite
+/// and > 0 and effort * #cells fits an int.
 Placement place(const Network& net, const CellLibrary& lib, const PlacerOptions& options = {});
 
 /// Verify row legality: every logic cell y-centered on a row, inside the

@@ -28,6 +28,17 @@ TEST(Flow, PrepareBenchmarkProducesTimedPlacement) {
   });
 }
 
+TEST(Flow, PrepareCircuitRecordsSetupStageTimes) {
+  // The setup stages' wall times reach the session's metrics without a
+  // tracer, so --metrics-json and serve job metrics show each stage.
+  SessionContext session("setup");
+  prepare_benchmark("c432", lib035(),
+                    rapids::testing::session_flow_options(session, fast_flow()));
+  for (const char* gauge : {"time.map_s", "time.place_s", "time.initial_sta_s"}) {
+    EXPECT_GT(session.metrics().gauge(gauge), 0.0) << gauge;  // 0 when unset
+  }
+}
+
 TEST(Flow, RunModeVerifiesEquivalence) {
   const PreparedCircuit p = prepare_benchmark("alu2", lib035(), fast_flow());
   for (const OptMode mode : {OptMode::Gsg, OptMode::GateSizing, OptMode::GsgPlusGS}) {

@@ -1,9 +1,19 @@
-// Placer: legality, determinism, wirelength behavior, die sizing.
+// Placer: legality, determinism, golden coordinate bits, effort validation,
+// wirelength behavior, die sizing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdio>
+#include <limits>
+
+#include "gen/large.hpp"
+#include "gen/suite.hpp"
 #include "place/placer.hpp"
 #include "place/wirelength.hpp"
 #include "test_helpers.hpp"
+#include "timing/sta.hpp"
+#include "util/assert.hpp"
 
 namespace rapids {
 namespace {
@@ -185,6 +195,94 @@ TEST(Placer, NetWeightsBiasPlacement) {
   const Placement pu = place(net, lib035(), uniform);
   const Placement pw = place(net, lib035(), weighted);
   EXPECT_LE(net_hpwl(net, pw, heavy), net_hpwl(net, pu, heavy) + 1e-9);
+}
+
+TEST(Placer, RejectsNonPositiveOrNonFiniteEffort) {
+  // moves per temperature = effort * #cells went through an unchecked
+  // double -> int cast; these efforts used to place silently.
+  const Network net = mapped(random_mapped_network(18));
+  for (const double effort : {-3.0, 0.0, std::numeric_limits<double>::quiet_NaN(),
+                              std::numeric_limits<double>::infinity()}) {
+    PlacerOptions o = fast_options();
+    o.effort = effort;
+    EXPECT_THROW(place(net, lib035(), o), InputError) << effort;
+  }
+}
+
+TEST(Placer, RejectsEffortBeyondIntMovesPerTemperature) {
+  const Network net = mapped(random_mapped_network(18));
+  PlacerOptions o = fast_options();
+  o.effort = 1e12;
+  EXPECT_THROW(place(net, lib035(), o), InputError);
+}
+
+/// FNV-1a over the raw bits of every placed coordinate, in gate-id order.
+std::uint64_t coordinate_hash(const Placement& pl) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](double v) {
+    const auto bits = std::bit_cast<std::uint64_t>(v);
+    for (int i = 0; i < 64; i += 8) {
+      h ^= (bits >> i) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (GateId g = 0; g < pl.id_bound(); ++g) {
+    if (!pl.is_placed(g)) continue;
+    mix(pl.at(g).x);
+    mix(pl.at(g).y);
+  }
+  return h;
+}
+
+std::string hex(std::uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "0x%016llx", static_cast<unsigned long long>(v));
+  return buf;
+}
+
+TEST(Placer, GoldenCoordinateHash) {
+  // Pins the placer's output bits at default options. The expected hashes
+  // were captured before the annealing kernel moved to flat net tables and
+  // cached HPWL; any later placer change must reproduce them exactly.
+  struct Case {
+    const char* circuit;
+    std::uint64_t seed;
+    std::uint64_t hash;
+  };
+  const Case cases[] = {
+      {"c432", 1, 0xd70f4563e14f2e1fULL},     {"c432", 7, 0xf3eb7539cc6b3fd8ULL},
+      {"c1908", 1, 0x79871ebdee9f5f62ULL},    {"c1908", 7, 0xe24d1b812626cbfeULL},
+      {"c6288", 1, 0x56694ba17877397aULL},    {"c6288", 7, 0xcc16c6e89b1a21c2ULL},
+      {"gen:3000", 1, 0xc7719f182f2a9071ULL}, {"gen:3000", 7, 0xdeda826e3e2a9760ULL},
+  };
+  for (const Case& c : cases) {
+    const std::string name = c.circuit;
+    LargeCircuitOptions lopt;
+    lopt.target_gates = 3000;
+    const Network net =
+        mapped(name == "gen:3000" ? make_large_circuit(lopt) : make_benchmark(name));
+    PlacerOptions popt;
+    popt.seed = c.seed;
+    EXPECT_EQ(hex(coordinate_hash(place(net, lib035(), popt))), hex(c.hash))
+        << name << " seed " << c.seed;
+  }
+
+  // Criticality-weighted run, weights built as place_timing_driven does.
+  const Network net = mapped(make_benchmark("c432"));
+  PlacerOptions popt;
+  const Placement first = place(net, lib035(), popt);
+  Sta sta(net, lib035(), first);
+  sta.refresh_required();
+  const double period = std::max(sta.critical_delay(), 1e-9);
+  popt.net_weights.assign(net.id_bound(), 1.0);
+  net.for_each_gate([&](GateId g) {
+    if (net.type(g) == GateType::Output || net.fanout_count(g) == 0) return;
+    const double crit = std::clamp(1.0 - sta.slack(g) / period, 0.0, 1.0);
+    popt.net_weights[g] = 1.0 + 4.0 * crit * crit;
+  });
+  popt.seed = 2;
+  EXPECT_EQ(hex(coordinate_hash(place(net, lib035(), popt))), hex(0xe73d5d376f411ef2ULL))
+      << "c432 net_weights seed 2";
 }
 
 }  // namespace

@@ -94,6 +94,25 @@ TEST(Serve, ProcessLogLevelReachesServedJobs) {
   EXPECT_TRUE(found) << captured.size() << " lines captured";
 }
 
+TEST(Serve, NanEffortFailsTheJobAndServingContinues) {
+  // effort=nan parses as a double; the placer must reject it with an
+  // InputError (it used to run a 64-move placement and exit 0), and the
+  // server must report the job FAILED and go on serving.
+  std::istringstream in(
+      "bad c432 effort=nan iters=1\n"
+      "ok1 c432 effort=1 iters=1\n");
+  std::ostringstream out;
+  ServeOptions options;
+  options.max_concurrent = 1;
+  EXPECT_EQ(serve_loop(in, out, options), 1);
+  const std::string log = out.str();
+  EXPECT_NE(log.find("[serve] bad: FAILED: placer effort must be finite and > 0"),
+            std::string::npos)
+      << log;
+  EXPECT_NE(log.find("[serve] ok1: delay"), std::string::npos) << log;
+  EXPECT_NE(log.find("2 jobs completed, 1 failed"), std::string::npos) << log;
+}
+
 TEST(ServeSlow, BatchJobsMatchOneShotFlows) {
   const std::string dir = ::testing::TempDir();
   std::vector<ServeJob> jobs = {
