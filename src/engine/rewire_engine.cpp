@@ -308,18 +308,24 @@ EngineObjective RewireEngine::probe(const EngineMove& move) {
 }
 
 EngineObjective RewireEngine::probe_with(ProbeScratch& scratch,
-                                         const EngineMove& move) {
+                                         const EngineMove& move,
+                                         std::span<const std::uint8_t> critical_mask) {
   ++stats_.probes;
   const std::size_t bound_before = net_.id_bound();
   sta_.begin();
   apply_and_invalidate(scratch, move);
-  // Probes run damped (objective-exact bounded-cone propagation); every
-  // commit path leaves damping off so committed state is the true fixed
-  // point. Damping stays disarmed between calls.
-  sta_.set_damping_active(timing_damp_);
-  sta_.propagate();
-  sta_.set_damping_active(false);
-  const EngineObjective obj{sta_.critical_delay(), sta_.sum_po_arrival()};
+  const bool pruned = !critical_mask.empty() && sta_.seeds_avoid(critical_mask);
+  if (pruned) {
+    ++stats_.probes_pruned;
+  } else {
+    // Probes run damped (objective-exact bounded-cone propagation); every
+    // commit path leaves damping off so committed state is the true fixed
+    // point. Damping stays disarmed between calls.
+    sta_.set_damping_active(timing_damp_);
+    sta_.propagate();
+    sta_.set_damping_active(false);
+  }
+  const EngineObjective obj{sta_.critical_delay(), sta_.sum_po_arrival(), pruned};
   undo_network_edit(scratch, move);
   sta_.rollback();
   sample_sta_counters();

@@ -54,6 +54,10 @@ class Tracer;
 struct EngineObjective {
   double critical = 0.0;
   double sum_po = 0.0;
+  /// Set when probe_with() skipped propagation because no seed of the move
+  /// touched the critical-path mask. `critical` and `sum_po` then hold the
+  /// unchanged baseline, and the true probed critical delay is >= it.
+  bool pruned = false;
 };
 
 /// One candidate transformation, uniformly over all move kinds.
@@ -118,7 +122,10 @@ struct EngineStats {
   int cross_sg_committed = 0;
   int inverters_added = 0;
   std::uint64_t probes = 0;
-  // Propagation-shape counters sampled from the Sta: worklist pops across
+  /// Probes (counted in `probes`) that skipped propagation because their
+  /// seeds all missed the critical-path mask.
+  std::uint64_t probes_pruned = 0;
+  // Propagation-shape counters sampled from the Sta: queue pops across
   // all probe/commit transactions, margin suppressions, PO-decrease
   // fallback replays, and damping-margin refreshes.
   std::uint64_t gates_propagated = 0;
@@ -132,6 +139,7 @@ struct EngineStats {
     cross_sg_committed += o.cross_sg_committed;
     inverters_added += o.inverters_added;
     probes += o.probes;
+    probes_pruned += o.probes_pruned;
     gates_propagated += o.gates_propagated;
     damp_cutoffs += o.damp_cutoffs;
     damp_fallbacks += o.damp_fallbacks;
@@ -290,7 +298,15 @@ class RewireEngine {
   /// the network, placement, STA journal AND the recycled-id free stack
   /// exactly, so interleaving probes from different scratches — or
   /// replaying them on a state replica — yields bit-identical objectives.
-  EngineObjective probe_with(ProbeScratch& scratch, const EngineMove& move);
+  ///
+  /// `critical_mask` (id-indexed, nonzero = on the current critical path;
+  /// empty = no pruning) lets a caller that only accepts a positive
+  /// critical-delay gain skip hopeless moves: when every seed of the move
+  /// misses the mask, the edit is undone and rolled back without
+  /// propagating and the result is marked `pruned` (see Sta::seeds_avoid
+  /// for why the probed critical delay cannot drop below the baseline).
+  EngineObjective probe_with(ProbeScratch& scratch, const EngineMove& move,
+                             std::span<const std::uint8_t> critical_mask = {});
 
   /// Apply `move` and keep it. Bumps the epoch and invalidates the
   /// partition. Returns the post-commit objective. In paranoid mode the

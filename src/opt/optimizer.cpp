@@ -183,6 +183,7 @@ class Optimizer {
     result.seconds_sync = sched.sync.seconds;
     result.seconds_timing = sched.seconds_timing;
     result.gates_propagated = stats.gates_propagated;
+    result.probes_pruned = stats.probes_pruned;
     result.damp_cutoffs = stats.damp_cutoffs;
     result.damp_fallbacks = stats.damp_fallbacks;
     result.margin_refreshes = stats.margin_refreshes;

@@ -177,12 +177,15 @@ struct OptimizerResult {
   /// Damping-margin refresh time (a subset of probe wall time, like sync).
   double seconds_timing = 0.0;
   /// Propagation-shape counters (merged across live engine + replicas):
-  /// worklist pops across every probe/commit propagation, pops suppressed by
+  /// queue pops across every probe/commit propagation, pops suppressed by
   /// the slack-margin cutoff, exact undamped replays after an in-probe PO
   /// arrival decrease, and PO-seeded margin recomputations. cutoffs /
   /// (propagated + cutoffs) is the damping rate; gates_propagated / probes
-  /// is the per-probe cost the damping exists to flatten.
+  /// is the per-probe cost the damping exists to flatten. probes_pruned
+  /// counts the probes (included in `probes`) that propagated nothing
+  /// because their seeds all missed the critical path.
   std::uint64_t gates_propagated = 0;
+  std::uint64_t probes_pruned = 0;
   std::uint64_t damp_cutoffs = 0;
   std::uint64_t damp_fallbacks = 0;
   std::uint64_t margin_refreshes = 0;

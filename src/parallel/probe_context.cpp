@@ -62,13 +62,12 @@ void ProbeContext::sync(RewireEngine& source, bool with_partition) {
       // round overlap heavily (critical-path arrivals are recomputed by
       // nearly every commit). Adoption copies the source's CURRENT state,
       // so each id needs shipping once — dedup before paying for the rows.
-      const auto dedup = [](std::vector<GateId>& ids) {
-        std::sort(ids.begin(), ids.end());
-        ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-      };
-      dedup(delta_gates_);
-      dedup(delta_arr_);
-      dedup(delta_nets_);
+      if (dedup_stamp_.size() < source.net().id_bound()) {
+        dedup_stamp_.resize(source.net().id_bound(), 0);
+      }
+      dedup_sorted(delta_gates_);
+      dedup_sorted(delta_arr_);
+      dedup_sorted(delta_nets_);
       std::size_t bytes = net_.adopt_structural_delta(source.net(), delta_gates_);
       // Placement rows of the touched gates (committed swaps place the
       // inverters they insert); ids minted since the snapshot are unplaced
@@ -81,7 +80,7 @@ void ProbeContext::sync(RewireEngine& source, bool with_partition) {
           pl_.unset(g);
         }
       }
-      bytes += sta_->adopt_delta(source.sta(), delta_arr_, delta_nets_);
+      bytes += sta_->adopt_delta(source.sta(), delta_arr_, delta_nets_, delta_gates_);
       sync_stats_.bytes_delta += bytes;
       // One epoch per commit: the span is the per-commit denominator for
       // the O(dirty) gauge in bench/scale_flow.
@@ -156,11 +155,30 @@ void ProbeContext::sync(RewireEngine& source, bool with_partition) {
   sync_stats_.seconds += timer.seconds();
 }
 
+void ProbeContext::dedup_sorted(std::vector<GateId>& ids) {
+  // Stamp pass first, sort after: the concatenated journal repeats most
+  // ids many times over, so sorting only the survivors is far cheaper
+  // than sort+unique over the whole list — and yields the same list.
+  if (++dedup_gen_ == 0) {
+    std::fill(dedup_stamp_.begin(), dedup_stamp_.end(), 0);
+    dedup_gen_ = 1;
+  }
+  std::size_t kept = 0;
+  for (const GateId g : ids) {
+    if (dedup_stamp_[g] == dedup_gen_) continue;
+    dedup_stamp_[g] = dedup_gen_;
+    ids[kept++] = g;
+  }
+  ids.resize(kept);
+  std::sort(ids.begin(), ids.end());
+}
+
 EngineStats ProbeContext::take_stats() {
   EngineStats window;
   if (engine_) {
     const EngineStats& total = engine_->stats();
     window.probes = total.probes - harvested_.probes;
+    window.probes_pruned = total.probes_pruned - harvested_.probes_pruned;
     window.gates_propagated = total.gates_propagated - harvested_.gates_propagated;
     window.damp_cutoffs = total.damp_cutoffs - harvested_.damp_cutoffs;
     window.damp_fallbacks = total.damp_fallbacks - harvested_.damp_fallbacks;

@@ -55,8 +55,12 @@ GroupResult ParallelRewireScheduler::probe_group(RewireEngine& eng,
       double best_sum_gain = 0.0;
       for (std::size_t i = 0; i < group.moves.size(); ++i) {
         const EngineMove& move = group.moves[i];
-        const EngineObjective obj = eng.probe_with(scratch, move);
+        const EngineObjective obj = eng.probe_with(scratch, move, critical_mask_);
         ++r.probes;
+        // A pruned move's gain is <= 0 (Sta::seeds_avoid), and the mask is
+        // only armed for threshold >= 0: neither condition below can take
+        // it, so skipping it leaves the result unchanged.
+        if (obj.pruned) continue;
         const double gain = base_critical - obj.critical;
         const double sum_gain = base_sum - obj.sum_po;
         if (gain > best_gain + kGainTie ||
@@ -136,6 +140,16 @@ std::vector<GroupResult> ParallelRewireScheduler::probe_round(
   const double base_critical = engine_.sta().critical_delay();
   const double base_sum = engine_.sta().sum_po_arrival();
   const int workers = pool_.workers();
+
+  // Critical-path pruning, MinCritical rounds with a non-negative threshold
+  // only: a move whose seeds all miss the live critical path cannot gain
+  // (Sta::seeds_avoid), so its probe skips propagation. Replicas mirror the
+  // live state, so the one live mask serves every worker read-only.
+  critical_mask_.clear();
+  if (policy == ProbePolicy::MinCritical && threshold >= 0.0) {
+    critical_mask_.assign(engine_.net().id_bound(), 0);
+    for (const GateId g : engine_.sta().critical_path()) critical_mask_[g] = 1;
+  }
 
   if (workers == 1) {
     // Single-worker fast path: probe the live engine directly — probes are

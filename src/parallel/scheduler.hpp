@@ -65,6 +65,8 @@ struct ProbeGroup {
 /// What "best move of a group" means for a round.
 enum class ProbePolicy : std::uint8_t {
   /// Maximize critical-delay gain (phase A); threshold = minimum gain.
+  /// With threshold >= 0, a move whose timing seeds all miss the round's
+  /// critical path is rolled back unpropagated (it cannot gain).
   MinCritical,
   /// Maximize sum-of-PO-arrival gain without degrading the critical delay
   /// (phase B); threshold = minimum sum gain.
@@ -191,6 +193,9 @@ class ParallelRewireScheduler {
   ThreadPool& pool_;  // lent by session_
   std::vector<std::unique_ptr<ProbeContext>> contexts_;
   ProbeScratch serial_scratch_;  // single-worker fast path probes the live engine
+  // This round's critical-path mask (empty = pruning off), written before
+  // the workers start and only read while they run.
+  std::vector<std::uint8_t> critical_mask_;
   SchedulerStats stats_;
   ShardedStats probe_stats_;
 };

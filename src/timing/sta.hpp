@@ -9,6 +9,15 @@
 // candidate network edit, propagate(), read the objective, then rollback().
 // Rollback restores arrivals and net caches exactly, so thousands of
 // candidate moves can be probed cheaply without a full recompute.
+//
+// Flat timing rows: every gate keeps one TimingRow — its output delay at
+// its current load plus an arc-kind byte — next to a per-pin wire-delay
+// row. Rows are refreshed wherever their inputs change (rebuild_net for
+// the load, touch_gate for the cell or type; grow adds default rows for
+// minted slots, which get real ones when their nets are built), journaled
+// for rollback and carried by copy_state_from and adopt_delta, so the
+// propagation kernel and both backward passes read only flat arrays: no
+// library lookups, no delay-model calls.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +31,23 @@
 #include "timing/star_net.hpp"
 
 namespace rapids {
+
+/// How a gate's output arrival composes from its fanins.
+enum class ArcKind : std::uint8_t {
+  Const,     // constant driver: arrives at time 0
+  Input,     // input pad: arrives after its pad drive into the net load
+  Output,    // output marker: driver arrival plus the wire to the pad
+  Positive,  // AND/OR/BUF
+  Negative,  // NAND/NOR/INV
+  Both,      // XOR/XNOR
+};
+
+/// One gate's build-once timing row (see the file comment).
+struct TimingRow {
+  RiseFall delay;  // output delay at the current load (Input: pad drive)
+  ArcKind arc = ArcKind::Const;
+  friend bool operator==(const TimingRow&, const TimingRow&) = default;
+};
 
 struct StaOptions {
   PadParams pads;
@@ -83,11 +109,18 @@ class Sta {
   double required_time() const { return required_time_; }
   void set_required_time(double t) { required_time_ = t; }
   /// Sum of arrival times over all primary outputs (relaxation objective).
-  double sum_po_arrival() const;
+  /// Cached alongside critical_delay(); both are recomputed only when a
+  /// primary-output arrival is stored.
+  double sum_po_arrival() const { return sum_po_; }
   /// Gates on the worst path, from a primary input to the worst output.
   std::vector<GateId> critical_path() const;
   /// Cached star net of the net driven by g (valid for fanout_count>0).
   const StarNet& star(GateId g) const { return nets_[g]; }
+  /// The id-indexed timing rows (live gates only are meaningful).
+  std::span<const TimingRow> rows() const { return {rows_.data(), rows_.size()}; }
+  /// Gate g's timing row computed from scratch from the current network,
+  /// library and net cache — what rows()[g] must equal between calls.
+  TimingRow fresh_row(GateId g) const;
 
   // --- transactional what-if interface -------------------------------------
 
@@ -100,6 +133,20 @@ class Sta {
   /// net delay changes; fanin nets must be invalidated separately when pin
   /// caps changed.
   void touch_gate(GateId g);
+  /// True when no seed queued since the last propagate() (driver of an
+  /// invalidated net, or touched gate) is marked in `mask`; ids past the
+  /// mask's end count as unmarked.
+  ///
+  /// This is the critical-path pruning test. With `mask` marking the gates
+  /// of critical_path() and no seed on it, every path gate keeps its row
+  /// (cell, type, load), every path wire keeps its delay (its driver's net
+  /// was not rebuilt) and every path pin keeps its driver (moving a pin
+  /// rebuilds the old driver's net). Arrivals are IEEE max/+ compositions,
+  /// monotone in each argument, so each path gate's new arrival is at
+  /// least its old one and the worst primary output cannot get earlier:
+  /// the probed critical delay is >= the current one. Callers that only
+  /// accept a positive critical gain may skip propagate() for such a move.
+  bool seeds_avoid(std::span<const std::uint8_t> mask) const;
   /// Re-evaluate arrivals from all dirty seeds until the fixed point.
   /// Updates critical_delay(). Required times/slacks become stale.
   void propagate();
@@ -113,16 +160,28 @@ class Sta {
   /// pass); cheap relative to run_full since net caches are reused.
   void refresh_required();
 
-  // --- bounded-cone damped propagation -------------------------------------
+  // --- level-ordered, bounded-cone propagation -----------------------------
+  //
+  // propagate() drains a level-bucket queue. A queued gate waits in the
+  // bucket of its forward level (levels come from run_full and every margin
+  // refresh), buckets drain in ascending order, and an in-queue byte keeps
+  // at most one entry per gate, so with current levels every fanin settles
+  // before its sink is popped and each gate is recomputed once per drain.
+  // Levels may go stale between refreshes: commits rewire pins, and gates
+  // minted since the last level computation have none. A push below the
+  // draining level, or of an unlevelled gate, joins the current bucket.
+  // Staleness only costs extra pops, never different bits: the arrival
+  // fixed point of a DAG is unique, and every gate is recomputed after its
+  // last fanin change.
   //
   // Two objective-exact cut-offs keep probe cost proportional to the real
   // timing disturbance instead of the structural fanout cone:
   //
   //  1. Exact termination (always on): a popped gate whose recomputed
-  //     arrival is BIT-IDENTICAL to the stored value drops out of the
-  //     worklist. Arrivals are pure functions of fanin arrivals and
-  //     delays, so undisturbed cone tails recompute bit-equal and the
-  //     frontier stops exactly where the disturbance does.
+  //     arrival is BIT-IDENTICAL to the stored value queues nothing.
+  //     Arrivals are pure functions of fanin arrivals and rows, so
+  //     undisturbed cone tails recompute bit-equal and the frontier stops
+  //     exactly where the disturbance does.
   //
   //  2. Slack-margin damping (active only when armed via
   //     set_damping_active and margins are fresh): refresh_damping_margins
@@ -133,14 +192,14 @@ class Sta {
   //     at its OWN current arrival instead of the global required time. A
   //     pure component-wise arrival increase at g that stays under this
   //     ceiling cannot raise any PO arrival (max analysis is monotone), so
-  //     the worklist defers it instead of storing/propagating. Soundness
+  //     the drain defers it instead of storing/propagating. Soundness
   //     holds within a transaction via a forward-level guard (no dirty
   //     seed may sit downstream of a suppressed gate, since in-txn delay
   //     edits invalidate the refresh-time path delays) and a PO-decrease
   //     fallback (if the same transaction LOWERS any primary output below
-  //     its refresh-time arrival, deferred gates are re-pushed and the
-  //     worklist completes undamped — deferred gates stored nothing, so
-  //     this is exact).
+  //     its refresh-time arrival, deferred gates are re-queued and the
+  //     drain completes undamped — deferred gates stored nothing, so this
+  //     is exact).
   //
   // Margins are invalidated by any state-changing commit(), run_full(),
   // copy_state_from() and adopt_delta(); rollback() restores state exactly
@@ -153,7 +212,7 @@ class Sta {
   void set_damping_active(bool on) { damp_active_ = on; }
   bool damping_active() const { return damp_active_; }
   /// Differential self-check: after a damped fixed point, finish the
-  /// worklist undamped and assert every primary-output arrival is
+  /// drain undamped and assert every primary-output arrival is
   /// bit-identical. Throws InternalError on mismatch.
   void set_damp_diff(bool on) { damp_diff_ = on; }
   bool damp_diff() const { return damp_diff_; }
@@ -164,7 +223,7 @@ class Sta {
   bool margins_valid() const { return margins_valid_; }
 
   /// Propagation-shape counters (monotonic, accumulated across the Sta's
-  /// lifetime): worklist pops, margin suppressions, PO-decrease fallbacks,
+  /// lifetime): queue pops, margin suppressions, PO-decrease fallbacks,
   /// and margin refreshes.
   std::uint64_t gates_propagated() const { return gates_propagated_; }
   std::uint64_t damp_cutoffs() const { return damp_cutoffs_; }
@@ -199,23 +258,47 @@ class Sta {
                               std::vector<GateId>& net_ids) const;
 
   /// Adopt only the listed slices of `other`'s state (plus scalars):
-  /// arrivals for arrival_ids, star nets and their pin-delay rows for
-  /// net_ids. Both analyses must be outside transactions, pin strides must
-  /// match, and the underlying networks must already be structurally
-  /// identical (delta-adopt the network first). Required times become
-  /// stale. Returns an estimate of the bytes copied.
+  /// arrivals for arrival_ids, star nets, timing rows and pin-delay rows
+  /// for net_ids, and timing rows for gate_ids — the structurally changed
+  /// gates, which cover every cell or type change (a row depends on the
+  /// type, the cell and the load, and a load change rebuilds a net). Both
+  /// analyses must be outside transactions, pin strides must match, and
+  /// the underlying networks must already be structurally identical
+  /// (delta-adopt the network first). Required times become stale.
+  /// Returns an estimate of the bytes copied.
   std::size_t adopt_delta(const Sta& other, std::span<const GateId> arrival_ids,
-                          std::span<const GateId> net_ids);
+                          std::span<const GateId> net_ids,
+                          std::span<const GateId> gate_ids);
 
  private:
+  /// A per-gate flag byte. A scoped enum, not a plain uint8_t: a store
+  /// through a character type may alias any object, which would make the
+  /// compiler reload every member after each flag write in the drain loop.
+  enum class Flag : std::uint8_t { Off, On };
+
   /// Extend id-indexed state for gates created mid-transaction (inverters
   /// inserted by rewiring).
   void grow();
+  /// Resize every id-indexed array to n slots (never shrinks); new slots
+  /// get default state, no level and never-suppress margins.
+  void resize_slots(std::size_t n);
   void rebuild_net(GateId driver);
+  /// Journal (inside a transaction) and recompute gate g's timing row.
+  void refresh_row(GateId g);
   void recompute_arrival(GateId g, RiseFall& out) const;
   void save_arrival(GateId g);
   void save_net(GateId driver);
-  double recompute_critical() const;
+  /// Recompute critical_delay_ and sum_po_ from the primary outputs.
+  void recompute_po_objectives();
+  /// Forward levels over a topological `order`, strict through Output
+  /// gates, plus the bucket count.
+  void compute_levels(std::span<const GateId> order);
+  /// Level-bucket queue (see the propagation comment above).
+  void resize_buckets(std::size_t n);
+  void push(GateId g);
+  std::size_t bucket_of(GateId g) const;
+  /// Lowest bucket >= `from` with queued gates; buckets_.size() if none.
+  std::size_t next_queued_bucket(std::size_t from) const;
   /// Record a transaction seed's forward level into txn_max_dirty_level_
   /// (gates minted after the last margin refresh disable damping for the
   /// whole transaction).
@@ -227,6 +310,7 @@ class Sta {
   StaOptions options_;
 
   std::vector<StarNet> nets_;      // indexed by driver GateId
+  std::vector<TimingRow> rows_;    // indexed by GateId
   std::vector<RiseFall> arrival_;  // at gate outputs
   std::vector<RiseFall> required_;
   // Flat per-in-pin wire delay cache, indexed gate * pin_stride_ + index.
@@ -235,16 +319,27 @@ class Sta {
   // contiguous row instead of scanning the fanin nets' branch lists.
   std::vector<double> pin_delay_;
   std::uint32_t pin_stride_ = 1;
-  std::vector<bool> net_dirty_;    // net delay changed in this txn
+  std::vector<Flag> net_dirty_;  // net delay changed in this txn
   double critical_delay_ = 0.0;
+  double sum_po_ = 0.0;
   double required_time_ = 0.0;
   bool required_valid_ = false;
 
-  // Damped-propagation state. req_damp_/level_ are refreshed together by
+  // Forward topo levels (strict through Outputs) from run_full or the last
+  // margin refresh; slots minted since then hold the int max ("no level").
+  // They order the queue and guard damping.
+  std::vector<int> level_;
+  std::vector<std::vector<GateId>> buckets_;  // queued gates, one per level
+  // Bit b set = bucket b holds queued gates. A drain jumps between set bits
+  // instead of walking every level of a deep circuit for a narrow cone.
+  std::vector<std::uint64_t> queued_bits_;
+  std::vector<Flag> in_queue_;
+  std::size_t bucket_cur_ = 0;  // bucket being drained (0 outside a drain)
+
+  // Damped-propagation state. req_damp_ is refreshed with level_ by
   // refresh_damping_margins(); slots minted after a refresh (mid-txn
   // inverters) get never-suppress sentinels until the next refresh.
   std::vector<RiseFall> req_damp_;  // PO-seeded per-gate arrival ceiling
-  std::vector<int> level_;          // forward topo level (strict through Outputs)
   bool margins_valid_ = false;
   bool damp_active_ = false;
   bool damp_diff_ = false;
@@ -267,12 +362,14 @@ class Sta {
   std::vector<std::pair<GateId, RiseFall>> saved_arrivals_;
   std::vector<std::pair<GateId, StarNet>> saved_nets_;
   std::size_t saved_net_count_ = 0;
+  std::vector<std::pair<GateId, TimingRow>> saved_rows_;
   std::vector<GateId> txn_dirty_nets_;
   std::vector<GateId> seeds_;
-  std::vector<GateId> queue_;        // propagate worklist scratch
-  std::vector<bool> arrival_saved_;  // per-gate flags for O(1) dedup
-  std::vector<bool> net_saved_;
+  std::vector<Flag> arrival_saved_;  // per-gate flags for O(1) dedup
+  std::vector<Flag> net_saved_;
+  std::vector<Flag> row_saved_;
   double saved_critical_ = 0.0;
+  double saved_sum_po_ = 0.0;
 };
 
 }  // namespace rapids

@@ -179,8 +179,10 @@ void collect_flow_metrics(MetricsRegistry& reg, const OptimizerResult& r) {
   reg.add_counter("scheduler.speculation_wasted", 0);
 
   // Timing propagation shape — the damping yardstick: gates_propagated /
-  // probes is the per-probe cost the slack-margin cutoff exists to flatten.
+  // probes is the per-probe cost the slack-margin cutoff exists to flatten,
+  // and probes_pruned of those probes propagated nothing at all.
   reg.add_counter("timing.gates_propagated", r.gates_propagated);
+  reg.add_counter("timing.probes_pruned", r.probes_pruned);
   reg.add_counter("timing.damp_cutoffs", r.damp_cutoffs);
   reg.add_counter("timing.damp_fallbacks", r.damp_fallbacks);
   reg.add_counter("timing.margin_refreshes", r.margin_refreshes);

@@ -30,7 +30,10 @@ TruthTable6 TruthTable6::constant(int num_vars, bool value) {
 }
 
 bool TruthTable6::value_at(std::uint64_t assignment) const {
-  RAPIDS_ASSERT(assignment < (1ULL << (1u << num_vars_)) || num_vars_ == 6);
+  // Six variables fill all 64 bits; testing that first keeps the shift
+  // below the word width.
+  RAPIDS_ASSERT(num_vars_ == 6 ? assignment < 64
+                               : assignment < (1ULL << (1u << num_vars_)));
   return (bits_ >> assignment) & 1ULL;
 }
 

@@ -161,6 +161,16 @@ TEST(TruthTable, DependsOn) {
   EXPECT_TRUE(f.depends_on(0));
 }
 
+TEST(TruthTable, SixVariableTableReadsTopAssignment) {
+  // Six variables use every bit of the word: reading assignment 63 must not
+  // shift by the word width on the way to the range check.
+  const TruthTable6 x5 = TruthTable6::variable(6, 5);
+  EXPECT_TRUE(x5.value_at(63));
+  EXPECT_FALSE(x5.value_at(31));
+  EXPECT_TRUE(TruthTable6::constant(6, true).value_at(63));
+  EXPECT_FALSE(TruthTable6::constant(6, false).value_at(63));
+}
+
 TEST(TruthTable, OfNetworkMatchesSimulation) {
   NetworkBuilder b;
   const GateId x0 = b.input("x0"), x1 = b.input("x1"), x2 = b.input("x2");

@@ -315,6 +315,7 @@ int cmd_flow(const std::vector<std::string>& args) {
     const double suppressed = static_cast<double>(r.damp_cutoffs);
     std::cout << "timing: " << r.gates_propagated << " gates propagated ("
               << visited / static_cast<double>(r.probes) << " per probe), "
+              << r.probes_pruned << " probes pruned off the critical path, "
               << r.damp_cutoffs << " damp cutoffs ("
               << (visited + suppressed > 0.0
                       ? 100.0 * suppressed / (visited + suppressed)
