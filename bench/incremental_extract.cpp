@@ -117,13 +117,9 @@ CommitLoopPoint commit_loop(const std::string& name, const CellLibrary& lib,
 
 struct FlowPoint {
   double seconds = 0.0;
-  std::uint64_t sgs_reextracted = 0;
-  std::uint64_t sgs_reused = 0;
-  std::uint64_t groups_reused = 0;
-  std::uint64_t full_rebuilds = 0;
-  std::uint64_t incremental_updates = 0;
   int moves = 0;
   double final_delay = 0.0;
+  MetricsRegistry metrics;  // the run's OptimizerResult::metrics
   std::string blif;
 };
 
@@ -135,11 +131,7 @@ FlowPoint run_flow(const PreparedCircuit& prepared, const CellLibrary& lib,
   const ModeRun run = run_mode(prepared, lib, OptMode::GsgPlusGS, fopt);
   FlowPoint pt;
   pt.seconds = run.result.seconds;
-  pt.sgs_reextracted = run.result.partition.sgs_reextracted;
-  pt.sgs_reused = run.result.partition.sgs_reused;
-  pt.groups_reused = run.result.partition.groups_reused;
-  pt.full_rebuilds = run.result.partition.full_rebuilds;
-  pt.incremental_updates = run.result.partition.incremental_updates;
+  pt.metrics = run.result.metrics;
   pt.moves = run.result.swaps_committed + run.result.resizes_committed;
   pt.final_delay = run.result.final_delay;
   std::ostringstream os;
@@ -229,6 +221,7 @@ int main(int argc, char** argv) {
        << ",\n  \"circuits\": [\n";
   for (std::size_t i = 0; i < reports.size(); ++i) {
     const CircuitReport& r = reports[i];
+    const MetricsRegistry& inc = r.inc_flow.metrics;
     json << "    {\"name\": \"" << r.name << "\", \"network_gates\": "
          << r.inc_loop.network_gates << ",\n     \"commit_loop\": {"
          << "\"commits\": " << r.inc_loop.commits
@@ -241,11 +234,11 @@ int main(int argc, char** argv) {
          << ", \"full_seconds\": " << r.full_flow.seconds
          << ", \"moves\": " << r.inc_flow.moves
          << ", \"final_delay_ns\": " << r.inc_flow.final_delay
-         << ", \"sgs_reextracted\": " << r.inc_flow.sgs_reextracted
-         << ", \"sgs_reused\": " << r.inc_flow.sgs_reused
-         << ", \"groups_reused\": " << r.inc_flow.groups_reused
-         << ", \"incremental_updates\": " << r.inc_flow.incremental_updates
-         << ", \"full_rebuilds\": " << r.inc_flow.full_rebuilds
+         << ", \"sgs_reextracted\": " << inc.counter("partition.sgs_reextracted")
+         << ", \"sgs_reused\": " << inc.counter("partition.sgs_reused")
+         << ", \"groups_reused\": " << inc.counter("partition.groups_reused")
+         << ", \"incremental_updates\": " << inc.counter("partition.incremental_updates")
+         << ", \"full_rebuilds\": " << inc.counter("partition.full_rebuilds")
          << ", \"netlists_match\": " << (r.netlists_match ? "true" : "false")
          << "}}" << (i + 1 < reports.size() ? "," : "") << "\n";
   }

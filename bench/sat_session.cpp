@@ -118,55 +118,29 @@ MicroPoint micro_bench(const Network& src, const CellLibrary& lib, double min_ti
   return pt;
 }
 
-struct FlowPoint {
-  std::uint64_t moves_proved = 0;
-  std::uint64_t inconclusive = 0;
-  std::uint64_t gates_encoded = 0;
-  std::uint64_t conflicts = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t learned_kept = 0;
-  std::uint64_t learned_deleted = 0;
-  std::uint64_t reduce_dbs = 0;
-  std::uint64_t roots_structural = 0;
-  std::uint64_t roots_by_sat = 0;
-  double seconds = 0.0;
-  std::vector<std::uint8_t> verdicts;
-};
-
-FlowPoint run_paranoid(const PreparedCircuit& prepared, const CellLibrary& lib,
-                       bool session) {
+OptimizerResult run_paranoid(const PreparedCircuit& prepared, const CellLibrary& lib,
+                             bool session) {
   FlowOptions options;
   options.verify = false;
   options.opt.paranoid = true;
   options.opt.sat_session = session;
-  const ModeRun run = run_mode(prepared, lib, OptMode::GsgPlusGS, options);
-  FlowPoint pt;
-  pt.moves_proved = run.result.moves_proved;
-  pt.inconclusive = run.result.paranoid_inconclusive;
-  pt.gates_encoded = run.result.proof_gates_encoded;
-  pt.conflicts = run.result.proof_conflicts;
-  pt.cache_hits = run.result.proof_cache_hits;
-  pt.learned_kept = run.result.solver_learned_kept;
-  pt.learned_deleted = run.result.solver_learned_deleted;
-  pt.reduce_dbs = run.result.solver_reduce_dbs;
-  pt.roots_structural = run.result.proof_roots_structural;
-  pt.roots_by_sat = run.result.proof_roots_by_sat;
-  pt.seconds = run.result.seconds;
-  pt.verdicts = run.result.paranoid_verdicts;
-  return pt;
+  return run_mode(prepared, lib, OptMode::GsgPlusGS, options).result;
 }
 
-void emit_flow_point(std::ostringstream& json, const char* key, const FlowPoint& p) {
-  json << "     \"" << key << "\": {\"moves_proved\": " << p.moves_proved
-       << ", \"inconclusive\": " << p.inconclusive
-       << ", \"gates_encoded\": " << p.gates_encoded
-       << ", \"conflicts\": " << p.conflicts << ", \"cache_hits\": " << p.cache_hits
-       << ", \"roots_structural\": " << p.roots_structural
-       << ", \"roots_by_sat\": " << p.roots_by_sat
-       << ", \"learned_retained\": " << p.learned_kept
-       << ", \"learned_evicted\": " << p.learned_deleted
-       << ", \"reduce_db_rounds\": " << p.reduce_dbs << ", \"seconds\": " << p.seconds
-       << "}";
+void emit_flow_point(std::ostringstream& json, const char* key,
+                     const OptimizerResult& r) {
+  const MetricsRegistry& m = r.metrics;
+  json << "     \"" << key << "\": {\"moves_proved\": " << r.moves_proved
+       << ", \"inconclusive\": " << r.paranoid_inconclusive
+       << ", \"gates_encoded\": " << m.counter("proof.gates_encoded")
+       << ", \"conflicts\": " << m.counter("proof.conflicts")
+       << ", \"cache_hits\": " << m.counter("proof.cache_hits")
+       << ", \"roots_structural\": " << m.counter("proof.roots_structural")
+       << ", \"roots_by_sat\": " << m.counter("proof.roots_by_sat")
+       << ", \"learned_retained\": " << m.counter("solver.learned_kept")
+       << ", \"learned_evicted\": " << m.counter("solver.learned_deleted")
+       << ", \"reduce_db_rounds\": " << m.counter("solver.reduce_dbs")
+       << ", \"seconds\": " << r.seconds << "}";
 }
 
 }  // namespace
@@ -214,9 +188,10 @@ int main(int argc, char** argv) {
       FlowOptions fopt;
       fopt.verify = false;
       const PreparedCircuit prepared = prepare_benchmark(name, lib, fopt);
-      const FlowPoint with_session = run_paranoid(prepared, lib, /*session=*/true);
-      const FlowPoint per_move = run_paranoid(prepared, lib, /*session=*/false);
-      const bool verdicts_match = with_session.verdicts == per_move.verdicts;
+      const OptimizerResult with_session = run_paranoid(prepared, lib, /*session=*/true);
+      const OptimizerResult per_move = run_paranoid(prepared, lib, /*session=*/false);
+      const bool verdicts_match =
+          with_session.paranoid_verdicts == per_move.paranoid_verdicts;
 
       json << (first ? "" : ",\n") << "    {\"name\": \"" << name
            << "\", \"cells\": " << src.num_logic_gates() << ",\n"

@@ -34,6 +34,7 @@
 #include "flow/flow.hpp"
 #include "gen/large.hpp"
 #include "library/cell_library.hpp"
+#include "trace/metrics.hpp"
 #include "util/timer.hpp"
 
 namespace {
@@ -49,31 +50,31 @@ struct SizePoint {
   double seconds_total = 0.0;
   double seconds_generate = 0.0;
   double seconds_prepare = 0.0;
-  double seconds_setup = 0.0;
-  double seconds_probe = 0.0;
-  double seconds_arbitrate = 0.0;
-  double seconds_commit = 0.0;
-  double seconds_sync = 0.0;
-  std::uint64_t delta_syncs = 0;
-  std::uint64_t full_syncs = 0;
-  std::uint64_t delta_commits = 0;
-  std::uint64_t sync_bytes_delta = 0;
-  std::uint64_t sync_bytes_full = 0;
-  double sync_bytes_per_epoch = 0.0;   // delta path, averaged per delta sync
-  double sync_bytes_per_commit = 0.0;  // delta path, per commit epoch spanned
-  double clone_bytes = 0.0;            // what one full sync ships instead
-  std::uint64_t canonicalize_calls = 0;
-  std::uint64_t gates_canonicalized = 0;
-  double gates_canonicalized_per_call = 0.0;
-  std::uint64_t candidates_enumerated = 0;
-  std::uint64_t pruned_groups_cached = 0;
-  std::uint64_t probes = 0;
-  std::uint64_t gates_propagated = 0;
-  std::uint64_t damp_cutoffs = 0;
-  std::uint64_t margin_refreshes = 0;
-  double gates_propagated_per_probe = 0.0;
-  double damp_cutoff_rate = 0.0;  // cutoffs / (propagated + cutoffs)
-  double seconds_timing = 0.0;
+  MetricsRegistry metrics;  // the run's OptimizerResult::metrics
+
+  std::uint64_t count(const char* name) const { return metrics.counter(name); }
+  double secs(const char* name) const { return metrics.gauge(name); }
+  /// count(num) / count(den), 0 when the denominator is 0.
+  double per(const char* num, const char* den) const {
+    return ratio(count(num), count(den));
+  }
+  static double ratio(std::uint64_t num, std::uint64_t den) {
+    return den > 0 ? static_cast<double>(num) / static_cast<double>(den) : 0.0;
+  }
+  double sync_bytes_per_commit() const {
+    return per("sync.bytes_delta", "sync.delta_commits");
+  }
+  double gates_canonicalized_per_call() const {
+    return per("engine.gates_canonicalized", "engine.canonicalize_calls");
+  }
+  double gates_propagated_per_probe() const {
+    return per("timing.gates_propagated", "engine.probes");
+  }
+  /// cutoffs / (propagated + cutoffs)
+  double damp_cutoff_rate() const {
+    const std::uint64_t cutoffs = count("timing.damp_cutoffs");
+    return ratio(cutoffs, count("timing.gates_propagated") + cutoffs);
+  }
 };
 
 SizePoint measure(std::size_t target, std::uint64_t seed, int threads, int iters,
@@ -100,56 +101,13 @@ SizePoint measure(std::size_t target, std::uint64_t seed, int threads, int iters
   pt.seconds_prepare = prep_timer.seconds();
   pt.mapped_gates = prepared.mapped.num_logic_gates();
 
-  const ModeRun run = run_mode(std::move(prepared), lib, fopt.opt.mode, fopt);
+  ModeRun run = run_mode(std::move(prepared), lib, fopt.opt.mode, fopt);
   const OptimizerResult& r = run.result;
   pt.initial_delay = r.initial_delay;
   pt.final_delay = r.final_delay;
   pt.commits = r.swaps_committed + r.resizes_committed;
   pt.seconds_total = r.seconds;
-  pt.seconds_setup = r.seconds_setup;
-  pt.seconds_probe = r.seconds_probe;
-  pt.seconds_arbitrate = r.seconds_arbitrate;
-  pt.seconds_commit = r.seconds_commit;
-  pt.seconds_sync = r.seconds_sync;
-  pt.delta_syncs = r.replica_delta_syncs;
-  pt.full_syncs = r.replica_full_syncs;
-  pt.sync_bytes_delta = r.replica_sync_bytes_delta;
-  pt.sync_bytes_full = r.replica_sync_bytes_full;
-  pt.delta_commits = r.replica_delta_commits;
-  if (r.replica_delta_syncs > 0) {
-    pt.sync_bytes_per_epoch = static_cast<double>(r.replica_sync_bytes_delta) /
-                              static_cast<double>(r.replica_delta_syncs);
-  }
-  if (r.replica_delta_commits > 0) {
-    pt.sync_bytes_per_commit = static_cast<double>(r.replica_sync_bytes_delta) /
-                               static_cast<double>(r.replica_delta_commits);
-  }
-  if (r.replica_full_syncs > 0) {
-    pt.clone_bytes = static_cast<double>(r.replica_sync_bytes_full) /
-                     static_cast<double>(r.replica_full_syncs);
-  }
-  pt.canonicalize_calls = r.canonicalize_calls;
-  pt.gates_canonicalized = r.gates_canonicalized;
-  if (r.canonicalize_calls > 0) {
-    pt.gates_canonicalized_per_call = static_cast<double>(r.gates_canonicalized) /
-                                      static_cast<double>(r.canonicalize_calls);
-  }
-  pt.candidates_enumerated = r.candidates_enumerated;
-  pt.pruned_groups_cached = r.pruned_groups_cached;
-  pt.probes = r.probes;
-  pt.gates_propagated = r.gates_propagated;
-  pt.damp_cutoffs = r.damp_cutoffs;
-  pt.margin_refreshes = r.margin_refreshes;
-  pt.seconds_timing = r.seconds_timing;
-  if (r.probes > 0) {
-    pt.gates_propagated_per_probe =
-        static_cast<double>(r.gates_propagated) / static_cast<double>(r.probes);
-  }
-  if (r.gates_propagated + r.damp_cutoffs > 0) {
-    pt.damp_cutoff_rate =
-        static_cast<double>(r.damp_cutoffs) /
-        static_cast<double>(r.gates_propagated + r.damp_cutoffs);
-  }
+  pt.metrics = std::move(run.result.metrics);
   return pt;
 }
 
@@ -208,15 +166,16 @@ int main(int argc, char** argv) {
   if (points.size() >= 2) {
     const SizePoint& lo = points.front();
     const SizePoint& hi = points.back();
-    if (lo.sync_bytes_per_commit > 0) {
-      sync_growth = hi.sync_bytes_per_commit / lo.sync_bytes_per_commit;
+    if (lo.sync_bytes_per_commit() > 0) {
+      sync_growth = hi.sync_bytes_per_commit() / lo.sync_bytes_per_commit();
     }
-    if (lo.gates_canonicalized_per_call > 0) {
-      canon_growth = hi.gates_canonicalized_per_call / lo.gates_canonicalized_per_call;
+    if (lo.gates_canonicalized_per_call() > 0) {
+      canon_growth =
+          hi.gates_canonicalized_per_call() / lo.gates_canonicalized_per_call();
     }
-    if (lo.gates_propagated_per_probe > 0) {
+    if (lo.gates_propagated_per_probe() > 0) {
       probe_cost_growth =
-          hi.gates_propagated_per_probe / lo.gates_propagated_per_probe;
+          hi.gates_propagated_per_probe() / lo.gates_propagated_per_probe();
     }
     size_growth = static_cast<double>(hi.mapped_gates) /
                   static_cast<double>(lo.mapped_gates > 0 ? lo.mapped_gates : 1);
@@ -242,31 +201,33 @@ int main(int argc, char** argv) {
          << "     \"seconds\": {\"generate\": " << p.seconds_generate
          << ", \"prepare\": " << p.seconds_prepare
          << ", \"optimize\": " << p.seconds_total
-         << ", \"setup\": " << p.seconds_setup
-         << ", \"probe\": " << p.seconds_probe
-         << ", \"arbitrate\": " << p.seconds_arbitrate
-         << ", \"commit\": " << p.seconds_commit
-         << ", \"sync\": " << p.seconds_sync
-         << ", \"margins\": " << p.seconds_timing << "},\n"
-         << "     \"replica_sync\": {\"delta_syncs\": " << p.delta_syncs
-         << ", \"full_syncs\": " << p.full_syncs
-         << ", \"delta_commits_covered\": " << p.delta_commits
-         << ", \"bytes_delta_total\": " << p.sync_bytes_delta
-         << ", \"bytes_full_total\": " << p.sync_bytes_full
-         << ", \"bytes_per_epoch\": " << p.sync_bytes_per_epoch
-         << ", \"bytes_per_commit\": " << p.sync_bytes_per_commit
-         << ", \"clone_bytes\": " << p.clone_bytes << "},\n"
-         << "     \"commit_path\": {\"canonicalize_calls\": " << p.canonicalize_calls
-         << ", \"gates_canonicalized\": " << p.gates_canonicalized
-         << ", \"gates_per_call\": " << p.gates_canonicalized_per_call
-         << ", \"candidates_enumerated\": " << p.candidates_enumerated
-         << ", \"pruned_groups_cached\": " << p.pruned_groups_cached << "},\n"
-         << "     \"timing\": {\"probes\": " << p.probes
-         << ", \"gates_propagated\": " << p.gates_propagated
-         << ", \"gates_propagated_per_probe\": " << p.gates_propagated_per_probe
-         << ", \"damp_cutoffs\": " << p.damp_cutoffs
-         << ", \"damp_cutoff_rate\": " << p.damp_cutoff_rate
-         << ", \"margin_refreshes\": " << p.margin_refreshes << "}}"
+         << ", \"setup\": " << p.secs("time.setup_s")
+         << ", \"probe\": " << p.secs("time.probe_s")
+         << ", \"arbitrate\": " << p.secs("time.arbitrate_s")
+         << ", \"commit\": " << p.secs("time.commit_s")
+         << ", \"sync\": " << p.secs("time.sync_s")
+         << ", \"margins\": " << p.secs("time.timing_s") << "},\n"
+         << "     \"replica_sync\": {\"delta_syncs\": " << p.count("sync.delta_syncs")
+         << ", \"full_syncs\": " << p.count("sync.full_syncs")
+         << ", \"delta_commits_covered\": " << p.count("sync.delta_commits")
+         << ", \"bytes_delta_total\": " << p.count("sync.bytes_delta")
+         << ", \"bytes_full_total\": " << p.count("sync.bytes_full")
+         << ", \"bytes_per_epoch\": " << p.per("sync.bytes_delta", "sync.delta_syncs")
+         << ", \"bytes_per_commit\": " << p.sync_bytes_per_commit()
+         << ", \"clone_bytes\": " << p.per("sync.bytes_full", "sync.full_syncs") << "},\n"
+         << "     \"commit_path\": {\"canonicalize_calls\": "
+         << p.count("engine.canonicalize_calls")
+         << ", \"gates_canonicalized\": " << p.count("engine.gates_canonicalized")
+         << ", \"gates_per_call\": " << p.gates_canonicalized_per_call()
+         << ", \"candidates_enumerated\": " << p.count("engine.candidates_enumerated")
+         << ", \"pruned_groups_cached\": " << p.count("engine.pruned_groups_cached")
+         << "},\n"
+         << "     \"timing\": {\"probes\": " << p.count("engine.probes")
+         << ", \"gates_propagated\": " << p.count("timing.gates_propagated")
+         << ", \"gates_propagated_per_probe\": " << p.gates_propagated_per_probe()
+         << ", \"damp_cutoffs\": " << p.count("timing.damp_cutoffs")
+         << ", \"damp_cutoff_rate\": " << p.damp_cutoff_rate()
+         << ", \"margin_refreshes\": " << p.count("timing.margin_refreshes") << "}}"
          << (i + 1 < points.size() ? "," : "") << "\n";
   }
   json << "  ]\n}\n";

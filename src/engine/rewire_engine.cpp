@@ -110,14 +110,6 @@ bool RewireEngine::cross_sg_fresh(const CrossSgCandidate& cand) {
          part.slot_fresh(cand.sg_b, cand.gen_b);
 }
 
-PartitionStats RewireEngine::take_partition_stats() {
-  // Counter-wise delta since the last harvest (all fields are monotone).
-  PartitionStats window = pstats_;
-  window -= pstats_harvested_;
-  pstats_harvested_ = pstats_;
-  return window;
-}
-
 void RewireEngine::mark_commit_dirty(const EngineMove& move) {
   if (!incremental_on_) {
     partition_valid_ = false;
@@ -407,17 +399,6 @@ const sat::ProofSessionStats& RewireEngine::merged_session_stats() const {
   merged_session_scratch_ = session_ ? session_->stats() : sat::ProofSessionStats{};
   merged_session_scratch_ += absorbed_session_stats_;
   return merged_session_scratch_;
-}
-
-sat::ProofSessionStats RewireEngine::take_session_stats() {
-  sat::ProofSessionStats window;
-  if (session_) {
-    // Counter-wise delta since the last harvest (all fields are monotone).
-    window = session_->stats();
-    window -= session_harvested_;
-    session_harvested_ = session_->stats();
-  }
-  return window;
 }
 
 void RewireEngine::begin_paranoid_proof(const EngineMove& move) {

@@ -43,6 +43,7 @@
 #include "sym/gisg.hpp"
 #include "sym/symmetry.hpp"
 #include "timing/sta.hpp"
+#include "trace/metrics.hpp"
 #include "util/stats.hpp"
 
 namespace rapids {
@@ -113,10 +114,11 @@ enum class ProofVerdict : std::uint8_t {
   Inconclusive,     // even the full miter ran out of budget; move rejected
 };
 
-/// Commit counters, accumulated across the engine's lifetime (the optimizer
-/// copies them into OptimizerResult). Addable so per-worker replicas can be
-/// merged into the live engine's counters on demand.
-struct EngineStats {
+/// Commit and probe counters, accumulated across the engine's lifetime.
+/// Addable so per-worker replicas can be merged into the live engine's
+/// counters on demand. `swaps_committed` counts supergate pin swaps only;
+/// the flow's "engine.swaps_committed" adds the cross-supergate moves.
+struct EngineStats : NamedStats<EngineStats> {
   int swaps_committed = 0;
   int resizes_committed = 0;
   int cross_sg_committed = 0;
@@ -133,18 +135,18 @@ struct EngineStats {
   std::uint64_t damp_fallbacks = 0;
   std::uint64_t margin_refreshes = 0;
 
-  EngineStats& operator+=(const EngineStats& o) {
-    swaps_committed += o.swaps_committed;
-    resizes_committed += o.resizes_committed;
-    cross_sg_committed += o.cross_sg_committed;
-    inverters_added += o.inverters_added;
-    probes += o.probes;
-    probes_pruned += o.probes_pruned;
-    gates_propagated += o.gates_propagated;
-    damp_cutoffs += o.damp_cutoffs;
-    damp_fallbacks += o.damp_fallbacks;
-    margin_refreshes += o.margin_refreshes;
-    return *this;
+  static constexpr auto fields() {
+    using S = EngineStats;
+    return std::tuple{StatField{"engine.pin_swaps_committed", &S::swaps_committed},
+                      StatField{"engine.resizes_committed", &S::resizes_committed},
+                      StatField{"engine.cross_sg_committed", &S::cross_sg_committed},
+                      StatField{"engine.inverters_added", &S::inverters_added},
+                      StatField{"engine.probes", &S::probes},
+                      StatField{"timing.probes_pruned", &S::probes_pruned},
+                      StatField{"timing.gates_propagated", &S::gates_propagated},
+                      StatField{"timing.damp_cutoffs", &S::damp_cutoffs},
+                      StatField{"timing.damp_fallbacks", &S::damp_fallbacks},
+                      StatField{"timing.margin_refreshes", &S::margin_refreshes}};
   }
 };
 
@@ -247,7 +249,9 @@ class RewireEngine {
   void absorb_partition_stats(const PartitionStats& s) { pstats_ += s; }
   /// Counters accumulated since the last harvest; resets the window
   /// (replica-side pair of absorb_partition_stats).
-  PartitionStats take_partition_stats();
+  PartitionStats take_partition_stats() {
+    return PartitionStats::take_window(pstats_, pstats_harvested_);
+  }
 
   /// Bumped by every commit. Swap/Resize moves remain probe/undo safe
   /// across epochs (they reference gates, which have stable ids); CrossSg
@@ -367,7 +371,11 @@ class RewireEngine {
   }
   /// This engine's session counters accumulated since the last harvest;
   /// resets the window (replica-side pair of absorb_session_stats).
-  sat::ProofSessionStats take_session_stats();
+  sat::ProofSessionStats take_session_stats() {
+    return session_ ? sat::ProofSessionStats::take_window(session_->stats(),
+                                                          session_harvested_)
+                    : sat::ProofSessionStats{};
+  }
 
   /// Bench helper: commit `move`, then commit its exact inverse, leaving
   /// the circuit in its pre-call state (two committed transactions).

@@ -1,10 +1,14 @@
 #include "flow/flow.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <optional>
 #include <utility>
 
+#include "gen/large.hpp"
 #include "gen/suite.hpp"
+#include "io/bench_reader.hpp"
+#include "io/blif_reader.hpp"
 #include "mapping/mapper.hpp"
 #include "session/session.hpp"
 #include "trace/metrics.hpp"
@@ -69,6 +73,25 @@ PreparedCircuit prepare_circuit(const std::string& name, const Network& src,
   return prepared;
 }
 
+Network load_circuit(const std::string& spec) {
+  auto ends_with = [&spec](const char* suffix) {
+    const std::size_t n = std::strlen(suffix);
+    return spec.size() >= n && spec.compare(spec.size() - n, n, suffix) == 0;
+  };
+  if (ends_with(".blif")) return read_blif_file(spec);
+  if (ends_with(".bench")) return read_bench_file(spec);
+  if (spec.rfind("gen:", 0) == 0) {
+    // gen:<gates>[:seed] — synthetic large-circuit profile.
+    LargeCircuitOptions lopt;
+    const std::string body = spec.substr(4);
+    const std::size_t colon = body.find(':');
+    lopt.target_gates = static_cast<std::size_t>(std::stoull(body.substr(0, colon)));
+    if (colon != std::string::npos) lopt.seed = std::stoull(body.substr(colon + 1));
+    return make_large_circuit(lopt);
+  }
+  return make_benchmark(spec);
+}
+
 PreparedCircuit prepare_benchmark(const std::string& suite_name, const CellLibrary& lib,
                                   const FlowOptions& options) {
   const Network src = make_benchmark(suite_name);
@@ -114,10 +137,11 @@ namespace {
 
 /// Shared single-mode body. `run.optimized` and `placement` already hold
 /// the circuit to optimize in place; `reference` is the pre-opt netlist for
-/// equivalence checking (null when options.verify is off).
+/// equivalence checking (null when options.verify is off), and
+/// `clone_seconds` the time spent cloning it, which counts as verify time.
 void run_mode_impl(ModeRun& run, Placement& placement, const Network* reference,
-                   const std::string& name, const CellLibrary& lib, OptMode mode,
-                   const FlowOptions& options) {
+                   double clone_seconds, const std::string& name,
+                   const CellLibrary& lib, OptMode mode, const FlowOptions& options) {
   Sta sta(run.optimized, lib, placement);
   OptimizerOptions oopt = options.opt;
   oopt.mode = mode;
@@ -145,8 +169,8 @@ void run_mode_impl(ModeRun& run, Placement& placement, const Network* reference,
     log_info() << name << " " << to_string(mode) << ": paranoid proved "
                << run.result.moves_proved << " commits ("
                << (oopt.sat_session ? "session" : "per-move solver") << " mode, "
-               << run.result.proof_gates_encoded << " gates encoded, "
-               << run.result.proof_conflicts << " conflicts"
+               << run.result.metrics.counter("proof.gates_encoded") << " gates encoded, "
+               << run.result.metrics.counter("proof.conflicts") << " conflicts"
                << (run.result.paranoid_inconclusive > 0
                        ? ", " + std::to_string(run.result.paranoid_inconclusive) +
                              " inconclusive rejects"
@@ -155,6 +179,7 @@ void run_mode_impl(ModeRun& run, Placement& placement, const Network* reference,
   }
   if (options.verify) {
     TraceSpan verify_span(session.tracer(), "flow", "verify");
+    const Timer verify_timer;
     RAPIDS_ASSERT(reference != nullptr);
     EquivalenceOptions eopt;
     eopt.sat_proof = options.verify_sat;
@@ -168,6 +193,7 @@ void run_mode_impl(ModeRun& run, Placement& placement, const Network* reference,
                  << ": SAT proof inconclusive (budget); verdict rests on "
                  << eq.patterns << " random patterns";
     }
+    session.metrics().set_gauge("time.verify_s", clone_seconds + verify_timer.seconds());
   }
 }
 
@@ -178,7 +204,8 @@ ModeRun run_mode(const PreparedCircuit& prepared, const CellLibrary& lib, OptMod
   ModeRun run;
   run.optimized = prepared.mapped.clone();
   Placement placement = prepared.placement;  // value copy; original intact
-  run_mode_impl(run, placement, &prepared.mapped, prepared.name, lib, mode, options);
+  run_mode_impl(run, placement, &prepared.mapped, 0.0, prepared.name, lib, mode,
+                options);
   return run;
 }
 
@@ -189,11 +216,13 @@ ModeRun run_mode(PreparedCircuit&& prepared, const CellLibrary& lib, OptMode mod
   // network in place. Equivalence checking still needs the pre-opt
   // netlist, so the clone survives exactly when verification asks for it.
   Network reference;
+  const Timer clone_timer;
   if (options.verify) reference = prepared.mapped.clone();
+  const double clone_seconds = clone_timer.seconds();
   run.optimized = std::move(prepared.mapped);
   Placement placement = std::move(prepared.placement);
-  run_mode_impl(run, placement, options.verify ? &reference : nullptr, prepared.name,
-                lib, mode, options);
+  run_mode_impl(run, placement, options.verify ? &reference : nullptr, clone_seconds,
+                prepared.name, lib, mode, options);
   return run;
 }
 

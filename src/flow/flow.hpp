@@ -46,6 +46,10 @@ struct PreparedCircuit {
   double initial_area = 0.0;
 };
 
+/// Read a circuit spec: a .blif or .bench file, gen:<gates>[:seed] (the
+/// synthetic large-circuit profile) or a built-in suite name.
+Network load_circuit(const std::string& spec);
+
 /// Generate (by suite name) or adopt a network, then map and place it.
 PreparedCircuit prepare_circuit(const std::string& name, const Network& src,
                                 const CellLibrary& lib, const FlowOptions& options = {});

@@ -88,9 +88,9 @@ class Optimizer {
     // Snapshot the canonicalize counters AFTER the initial extraction's
     // one O(network) pass, so the reported numbers isolate the steady
     // per-commit cost the dirty tracking is supposed to bound.
-    const std::uint64_t canon_calls_base = net_.canonicalize_calls();
-    const std::uint64_t canon_gates_base = net_.gates_canonicalized();
-    result.seconds_setup = timer.seconds();
+    canon_calls_base_ = net_.canonicalize_calls();
+    canon_gates_base_ = net_.gates_canonicalized();
+    seconds_setup_ = timer.seconds();
 
     double best = result.initial_delay;
     for (int iter = 0; iter < options_.max_iterations; ++iter) {
@@ -137,7 +137,7 @@ class Optimizer {
       sta_.refresh_required();
       result.final_delay = sta_.critical_delay();
       result.final_area = network_area(net_, lib_);
-      result.seconds_finalize = finalize_timer.seconds();
+      seconds_finalize_ = finalize_timer.seconds();
     }
     result.seconds = timer.seconds();
 
@@ -145,7 +145,6 @@ class Optimizer {
     result.swaps_committed = stats.swaps_committed + stats.cross_sg_committed;
     result.resizes_committed = stats.resizes_committed;
     result.inverters_added = stats.inverters_added;
-    result.probes = stats.probes;
     if (engine_.paranoid()) {
       result.moves_proved =
           engine_.paranoid_moves_checked() - engine_.paranoid_inconclusive();
@@ -154,77 +153,97 @@ class Optimizer {
       for (const ProofVerdict v : engine_.paranoid_verdicts()) {
         result.paranoid_verdicts.push_back(static_cast<std::uint8_t>(v));
       }
-      if (const auto* proofs = engine_.paranoid_stats()) {
-        result.proof_gates_encoded = proofs->window_gates;
-        result.proof_conflicts = proofs->conflicts;
-        result.proof_roots_structural = proofs->roots_proved_structurally;
-        result.proof_roots_by_sat = proofs->roots_proved_by_sat;
-      }
-      if (const auto* proofs = engine_.session_stats()) {
-        result.proof_gates_encoded = proofs->gates_encoded;
-        result.proof_conflicts = proofs->conflicts;
-        result.proof_cache_hits = proofs->cache_hits;
-        result.proof_roots_structural = proofs->roots_proved_structurally;
-        result.proof_roots_by_sat = proofs->roots_proved_by_sat;
-      }
-      if (const sat::ProofSession* session = engine_.proof_session()) {
-        result.solver_learned_kept = session->solver_learned_clauses();
-        result.solver_learned_deleted = session->solver_stats().learned_deleted;
-        result.solver_reduce_dbs = session->solver_stats().reduce_dbs;
-      }
     }
-    result.partition = engine_.partition_stats();
-    result.partition.groups_reused = groups_reused_;
-
-    const SchedulerStats& sched = scheduler_.stats();
-    result.seconds_probe = sched.seconds_probe;
-    result.seconds_arbitrate = sched.seconds_arbitrate;
-    result.seconds_commit = sched.seconds_commit;
-    result.seconds_sync = sched.sync.seconds;
-    result.seconds_timing = sched.seconds_timing;
-    result.gates_propagated = stats.gates_propagated;
-    result.probes_pruned = stats.probes_pruned;
-    result.damp_cutoffs = stats.damp_cutoffs;
-    result.damp_fallbacks = stats.damp_fallbacks;
-    result.margin_refreshes = stats.margin_refreshes;
-    result.replica_full_syncs = sched.sync.full_syncs;
-    result.replica_delta_syncs = sched.sync.delta_syncs;
-    result.replica_delta_commits = sched.sync.delta_commits;
-    result.replica_sync_bytes_full = sched.sync.bytes_full;
-    result.replica_sync_bytes_delta = sched.sync.bytes_delta;
-    result.canonicalize_calls = net_.canonicalize_calls() - canon_calls_base;
-    result.gates_canonicalized = net_.gates_canonicalized() - canon_gates_base;
-    result.candidates_enumerated = candidates_enumerated_;
-    result.pruned_groups_cached = pruned_cache_hits_;
-    result.sched_rounds = sched.rounds;
-    result.sched_accepted = sched.accepted;
-    result.sched_conflicted = sched.conflicted;
-    result.sched_revalidation_rejects = sched.revalidation_rejects;
-    result.sched_stale_cross_sg = sched.stale_cross_sg;
-    result.gain_hist = sched.gain_hist;
-    result.proof_conflict_hist = engine_.proof_conflict_hist();
-    result.seconds_groups = seconds_groups_;
-
-    // Phase accounting self-check: setup + groups + probe + arbitrate +
-    // commit + finalize should cover the whole run (sync is a subset of
-    // probe and deliberately excluded). Whatever is left is loop overhead —
-    // warn when it stops being noise, because an unattributed phase is
-    // exactly what this breakdown exists to prevent.
-    const double attributed = result.seconds_setup + result.seconds_groups +
-                              result.seconds_probe + result.seconds_arbitrate +
-                              result.seconds_commit + result.seconds_finalize;
-    result.seconds_unattributed = std::max(0.0, result.seconds - attributed);
-    if (result.seconds > 0.0 &&
-        result.seconds_unattributed > 0.05 * result.seconds) {
-      log_warn() << "phase accounting: " << result.seconds_unattributed
-                 << " s of " << result.seconds
-                 << " s optimize time unattributed (> 5%) — a phase is "
-                    "missing a timer";
-    }
+    export_metrics(result);
     return result;
   }
 
  private:
+  /// The one place the run's metrics are collected: each stat struct
+  /// exports its own field list, and the values below are the few that are
+  /// derived or owned by the optimizer.
+  void export_metrics(OptimizerResult& result) const {
+    MetricsRegistry& m = result.metrics;
+    const SchedulerStats& sched = scheduler_.stats();
+    engine_.stats().export_to(m);
+    sched.export_to(m);
+    sched.sync.export_to(m);
+    PartitionStats partition = engine_.partition_stats();
+    partition.groups_reused = groups_reused_;
+    partition.export_to(m);
+    proof_stats().export_to(m);
+
+    const auto count = [&m](const char* name, auto value) {
+      m.add_counter(name, static_cast<std::uint64_t>(value));
+    };
+    count("engine.swaps_committed", result.swaps_committed);
+    count("engine.inverters_removed", result.inverters_removed);
+    count("engine.iterations", result.iterations);
+    count("engine.redundancies_found", result.redundancies_found);
+    count("engine.canonicalize_calls", net_.canonicalize_calls() - canon_calls_base_);
+    count("engine.gates_canonicalized", net_.gates_canonicalized() - canon_gates_base_);
+    count("engine.candidates_enumerated", candidates_enumerated_);
+    count("engine.pruned_groups_cached", pruned_cache_hits_);
+    count("scheduler.committed", result.swaps_committed + result.resizes_committed);
+    count("proof.moves_proved", result.moves_proved);
+    count("proof.inconclusive", result.paranoid_inconclusive);
+    const sat::ProofSession* session = engine_.proof_session();
+    const sat::SolverStats solver = session ? session->solver_stats() : sat::SolverStats{};
+    count("solver.learned_kept", session ? session->solver_learned_clauses() : 0);
+    count("solver.learned_deleted", solver.learned_deleted);
+    count("solver.reduce_dbs", solver.reduce_dbs);
+
+    m.set_gauge("delay.initial_ns", result.initial_delay);
+    m.set_gauge("delay.final_ns", result.final_delay);
+    m.set_gauge("delay.improvement_pct", result.improvement_percent());
+    m.set_gauge("area.initial", result.initial_area);
+    m.set_gauge("area.final", result.final_area);
+    m.set_gauge("area.delta_pct", result.area_delta_percent());
+    m.set_gauge("sg.coverage", result.coverage);
+    m.set_gauge("sg.max_inputs", static_cast<double>(result.max_sg_inputs));
+    m.set_gauge("run.threads", static_cast<double>(result.threads));
+
+    // Phase wall clock. Everything except sync and margins (subsets of
+    // probe) sums to time.optimize_s. Whatever is left is loop overhead —
+    // warn when it stops being noise, because an unattributed phase is
+    // exactly what this breakdown exists to prevent.
+    const double attributed = seconds_setup_ + seconds_groups_ + sched.seconds_probe +
+                              sched.seconds_arbitrate + sched.seconds_commit +
+                              seconds_finalize_;
+    const double unattributed = std::max(0.0, result.seconds - attributed);
+    if (result.seconds > 0.0 && unattributed > 0.05 * result.seconds) {
+      log_warn() << "phase accounting: " << unattributed << " s of " << result.seconds
+                 << " s optimize time unattributed (> 5%) — a phase is "
+                    "missing a timer";
+    }
+    m.set_gauge("time.optimize_s", result.seconds);
+    m.set_gauge("time.setup_s", seconds_setup_);
+    m.set_gauge("time.groups_s", seconds_groups_);
+    m.set_gauge("time.finalize_s", seconds_finalize_);
+    m.set_gauge("time.unattributed_s", unattributed);
+    if (result.seconds > 0.0) {
+      m.set_gauge("rate.probes_per_sec",
+                  static_cast<double>(engine_.stats().probes) / result.seconds);
+    }
+
+    m.add_histogram("hist.probe_gain_ns", sched.gain_hist);
+    m.add_histogram("hist.proof_conflicts", engine_.proof_conflict_hist());
+  }
+
+  /// Counters of whichever paranoid prover ran (all zero when none did).
+  sat::ProofSessionStats proof_stats() const {
+    if (const sat::ProofSessionStats* session = engine_.session_stats()) return *session;
+    sat::ProofSessionStats proofs;
+    if (const sat::WindowCheckerStats* window = engine_.paranoid_stats()) {
+      proofs.moves_checked = window->moves_checked;
+      proofs.roots_proved_structurally = window->roots_proved_structurally;
+      proofs.roots_proved_by_sat = window->roots_proved_by_sat;
+      proofs.conflicts = window->conflicts;
+      proofs.gates_encoded = window->window_gates;
+    }
+    return proofs;
+  }
+
   // --- group construction ---------------------------------------------------
 
   /// Pop the next pooled ProbeGroup (capacity retained across rounds: a
@@ -420,7 +439,11 @@ class Optimizer {
   OptimizerOptions options_;
 
   std::vector<SwapGroupCache> swap_cache_;
+  double seconds_setup_ = 0.0;
   double seconds_groups_ = 0.0;
+  double seconds_finalize_ = 0.0;
+  std::uint64_t canon_calls_base_ = 0;
+  std::uint64_t canon_gates_base_ = 0;
   std::uint64_t groups_reused_ = 0;
   std::uint64_t pruned_cache_hits_ = 0;
   std::uint64_t candidates_enumerated_ = 0;

@@ -33,7 +33,7 @@
 #include "place/placement.hpp"
 #include "sym/gisg.hpp"
 #include "timing/sta.hpp"
-#include "util/stats.hpp"
+#include "trace/metrics.hpp"
 
 namespace rapids {
 
@@ -118,21 +118,26 @@ struct OptimizerOptions {
   SessionContext* session = nullptr;
 };
 
+/// Quality of result: the paper's before/after delay and area, the moves
+/// committed and Table 1's supergate statistics. Everything the run counts
+/// beyond that (probes, phase times, partition/sync/proof work) is in
+/// `metrics`, under the names `--metrics-json` writes.
 struct OptimizerResult {
   double initial_delay = 0.0;
   double final_delay = 0.0;
   double initial_area = 0.0;
   double final_area = 0.0;
-  int swaps_committed = 0;
+  int swaps_committed = 0;  // supergate pin swaps + cross-supergate moves
   int resizes_committed = 0;
   int inverters_added = 0;
   int inverters_removed = 0;
   int iterations = 0;
   double seconds = 0.0;
-  /// Total probe evaluations (replica workers + live arbiter) and the
-  /// worker count they ran on.
-  std::uint64_t probes = 0;
   int threads = 1;
+  // Supergate statistics from the first extraction (Table 1 cols 12-14).
+  double coverage = 0.0;          // fraction of gates in non-trivial SGs
+  int max_sg_inputs = 0;          // L
+  std::size_t redundancies_found = 0;
   /// Committed moves discharged by the paranoid SAT prover (0 unless
   /// OptimizerOptions::paranoid).
   std::uint64_t moves_proved = 0;
@@ -142,91 +147,10 @@ struct OptimizerResult {
   /// unless paranoid). Differential tests assert session and per-move
   /// prover modes agree move-for-move.
   std::vector<std::uint8_t> paranoid_verdicts;
-  /// Prover work counters (paranoid only). `proof_gates_encoded` is the
-  /// window_gates / gates_encoded analogue of whichever prover ran — the
-  /// headline the session exists to shrink. Session-only counters are 0 in
-  /// per-move mode.
-  std::uint64_t proof_gates_encoded = 0;
-  std::uint64_t proof_conflicts = 0;
-  std::uint64_t proof_cache_hits = 0;
-  std::uint64_t proof_roots_structural = 0;
-  std::uint64_t proof_roots_by_sat = 0;
-  /// Session solver clause-DB health (retention/eviction breakdown).
-  std::uint64_t solver_learned_kept = 0;
-  std::uint64_t solver_learned_deleted = 0;
-  std::uint64_t solver_reduce_dbs = 0;
-  // Supergate statistics from the first extraction (Table 1 cols 12-14).
-  double coverage = 0.0;          // fraction of gates in non-trivial SGs
-  int max_sg_inputs = 0;          // L
-  std::size_t redundancies_found = 0;
-  /// Partition-reuse counters: supergates re-extracted vs reused per
-  /// incremental update, probe groups served from the per-slot cache, and
-  /// full rebuilds (1 = only the initial extraction; more means an
-  /// out-of-engine mutation forced the escape hatch). Merged across
-  /// parallel workers.
-  PartitionStats partition;
-  /// Per-phase wall times (seconds): setup = initial STA + first
-  /// extraction; probe = worker fan-out including replica sync; arbitrate =
-  /// winner re-validation (commit time excluded); commit = live commits;
-  /// sync = replica sync alone (a subset of probe wall time).
-  double seconds_setup = 0.0;
-  double seconds_probe = 0.0;
-  double seconds_arbitrate = 0.0;
-  double seconds_commit = 0.0;
-  double seconds_sync = 0.0;
-  /// Damping-margin refresh time (a subset of probe wall time, like sync).
-  double seconds_timing = 0.0;
-  /// Propagation-shape counters (merged across live engine + replicas):
-  /// queue pops across every probe/commit propagation, pops suppressed by
-  /// the slack-margin cutoff, exact undamped replays after an in-probe PO
-  /// arrival decrease, and PO-seeded margin recomputations. cutoffs /
-  /// (propagated + cutoffs) is the damping rate; gates_propagated / probes
-  /// is the per-probe cost the damping exists to flatten. probes_pruned
-  /// counts the probes (included in `probes`) that propagated nothing
-  /// because their seeds all missed the critical path.
-  std::uint64_t gates_propagated = 0;
-  std::uint64_t probes_pruned = 0;
-  std::uint64_t damp_cutoffs = 0;
-  std::uint64_t damp_fallbacks = 0;
-  std::uint64_t margin_refreshes = 0;
-  /// Replica-sync cost breakdown (zero at --threads 1, which probes the
-  /// live engine and never syncs).
-  std::uint64_t replica_full_syncs = 0;
-  std::uint64_t replica_delta_syncs = 0;
-  /// Commit epochs spanned by the delta syncs — the denominator for
-  /// bytes-per-commit (each sync covers every commit since the replica's
-  /// last synced epoch, not one).
-  std::uint64_t replica_delta_commits = 0;
-  std::uint64_t replica_sync_bytes_full = 0;
-  std::uint64_t replica_sync_bytes_delta = 0;
-  /// Commit-path O(dirty) counters, measured AFTER the setup extraction so
-  /// they reflect steady-state per-commit cost: fanout-order canonicalize
-  /// passes and gates actually re-sorted; swap candidates materialized by
-  /// enumeration; pruned move lists served by the slack-epoch cache.
-  std::uint64_t canonicalize_calls = 0;
-  std::uint64_t gates_canonicalized = 0;
-  std::uint64_t candidates_enumerated = 0;
-  std::uint64_t pruned_groups_cached = 0;
-  /// Scheduler round/arbitration counters (merged across phases):
-  /// committed/accepted is the arbitration yield, conflicted +
-  /// revalidation_rejects + stale_cross_sg the wasted winners.
-  std::uint64_t sched_rounds = 0;
-  std::uint64_t sched_accepted = 0;
-  std::uint64_t sched_conflicted = 0;
-  std::uint64_t sched_revalidation_rejects = 0;
-  std::uint64_t sched_stale_cross_sg = 0;
-  /// Distribution of committed MinCritical/Relaxation gains (ns; FirstFit
-  /// area-recovery commits excluded) and of per-proof SAT conflict counts
-  /// (paranoid only) — p50/p90/p99 in the flow summary.
-  Histogram gain_hist;
-  Histogram proof_conflict_hist;
-  /// Remaining phase buckets so `phases:` sums to `seconds`: group building
-  /// (candidate generation incl. swap-cache fills), finalize (post-loop
-  /// cleanup + final STA), and whatever is left over. The optimizer warns
-  /// if unattributed time exceeds 5% of the total.
-  double seconds_groups = 0.0;
-  double seconds_finalize = 0.0;
-  double seconds_unattributed = 0.0;
+  /// The run's counters, phase-time gauges (`time.*`, summing to
+  /// `time.optimize_s` with sync and margins quoted inside probe) and the
+  /// committed-gain / per-proof-conflict histograms.
+  MetricsRegistry metrics;
 
   double improvement_percent() const {
     return initial_delay > 0 ? 100.0 * (initial_delay - final_delay) / initial_delay : 0.0;

@@ -173,19 +173,4 @@ void ProbeContext::dedup_sorted(std::vector<GateId>& ids) {
   std::sort(ids.begin(), ids.end());
 }
 
-EngineStats ProbeContext::take_stats() {
-  EngineStats window;
-  if (engine_) {
-    const EngineStats& total = engine_->stats();
-    window.probes = total.probes - harvested_.probes;
-    window.probes_pruned = total.probes_pruned - harvested_.probes_pruned;
-    window.gates_propagated = total.gates_propagated - harvested_.gates_propagated;
-    window.damp_cutoffs = total.damp_cutoffs - harvested_.damp_cutoffs;
-    window.damp_fallbacks = total.damp_fallbacks - harvested_.damp_fallbacks;
-    window.margin_refreshes = total.margin_refreshes - harvested_.margin_refreshes;
-    harvested_ = total;
-  }
-  return window;
-}
-
 }  // namespace rapids

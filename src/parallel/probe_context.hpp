@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 
 #include "engine/rewire_engine.hpp"
 #include "util/rng.hpp"
@@ -25,7 +26,7 @@ namespace rapids {
 
 /// Replica sync cost counters, accumulated per context and harvested by the
 /// scheduler (addable so per-worker shards merge into one view).
-struct ReplicaSyncStats {
+struct ReplicaSyncStats : NamedStats<ReplicaSyncStats> {
   std::uint64_t syncs = 0;          // sync() calls
   std::uint64_t full_syncs = 0;     // clone + copy_state_from path
   std::uint64_t delta_syncs = 0;    // journal replay path
@@ -34,15 +35,15 @@ struct ReplicaSyncStats {
   std::uint64_t bytes_delta = 0;    // estimated bytes moved by delta syncs
   double seconds = 0.0;             // wall time inside sync()
 
-  ReplicaSyncStats& operator+=(const ReplicaSyncStats& o) {
-    syncs += o.syncs;
-    full_syncs += o.full_syncs;
-    delta_syncs += o.delta_syncs;
-    delta_commits += o.delta_commits;
-    bytes_full += o.bytes_full;
-    bytes_delta += o.bytes_delta;
-    seconds += o.seconds;
-    return *this;
+  static constexpr auto fields() {
+    using S = ReplicaSyncStats;
+    return std::tuple{StatField{"sync.syncs", &S::syncs},
+                      StatField{"sync.full_syncs", &S::full_syncs},
+                      StatField{"sync.delta_syncs", &S::delta_syncs},
+                      StatField{"sync.delta_commits", &S::delta_commits},
+                      StatField{"sync.bytes_full", &S::bytes_full},
+                      StatField{"sync.bytes_delta", &S::bytes_delta},
+                      StatField{"time.sync_s", &S::seconds}};
   }
 };
 
@@ -81,11 +82,7 @@ class ProbeContext {
   void set_tracer(Tracer* tracer);
 
   /// Sync cost counters since the last harvest; resets the window.
-  ReplicaSyncStats take_sync_stats() {
-    const ReplicaSyncStats window = sync_stats_;
-    sync_stats_ = ReplicaSyncStats{};
-    return window;
-  }
+  ReplicaSyncStats take_sync_stats() { return std::exchange(sync_stats_, {}); }
 
   /// Read-only views over the replica state, for differential tests that
   /// assert delta-synced replicas match clone-synced ones byte for byte.
@@ -131,7 +128,10 @@ class ProbeContext {
 
   /// Replica probe counters accumulated since the last harvest; resets the
   /// window. The scheduler folds these into the live engine's totals.
-  EngineStats take_stats();
+  EngineStats take_stats() {
+    return engine_ ? EngineStats::take_window(engine_->stats(), harvested_)
+                   : EngineStats{};
+  }
 
   /// Replica proof-session counters since the last harvest (zero when the
   /// replica is not in paranoid session mode); merged into the live

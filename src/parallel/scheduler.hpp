@@ -108,12 +108,12 @@ struct SchedulerOptions {
   bool timing_damp = true;
 };
 
-struct SchedulerStats {
+struct SchedulerStats : NamedStats<SchedulerStats> {
   std::uint64_t rounds = 0;
   std::uint64_t worker_probes = 0;        // replica-side probe evaluations
   std::uint64_t arbiter_probes = 0;       // live re-validation probes
   std::uint64_t accepted = 0;             // per-group winners entering arbitration
-  std::uint64_t committed = 0;
+  std::uint64_t committed = 0;            // commits issued by the arbiter
   std::uint64_t conflicted = 0;           // winners overlapping an earlier commit
   std::uint64_t revalidation_rejects = 0; // winners whose live gain evaporated
   std::uint64_t stale_cross_sg = 0;       // cross-sg winners dropped by epoch bump
@@ -134,6 +134,25 @@ struct SchedulerStats {
   /// Filled on the serial arbitration path only, so it is bit-identical for
   /// every worker count.
   Histogram gain_hist;
+
+  /// The scalar members only: `sync` has its own list, and the optimizer
+  /// exports `gain_hist` beside the engine's proof histogram.
+  static constexpr auto fields() {
+    using S = SchedulerStats;
+    return std::tuple{
+        StatField{"scheduler.rounds", &S::rounds},
+        StatField{"scheduler.worker_probes", &S::worker_probes},
+        StatField{"scheduler.arbiter_probes", &S::arbiter_probes},
+        StatField{"scheduler.accepted", &S::accepted},
+        StatField{"scheduler.arbiter_commits", &S::committed},
+        StatField{"scheduler.conflicted", &S::conflicted},
+        StatField{"scheduler.revalidation_rejects", &S::revalidation_rejects},
+        StatField{"scheduler.stale_cross_sg", &S::stale_cross_sg},
+        StatField{"time.probe_s", &S::seconds_probe},
+        StatField{"time.arbitrate_s", &S::seconds_arbitrate},
+        StatField{"time.commit_s", &S::seconds_commit},
+        StatField{"time.timing_s", &S::seconds_timing}};
+  }
 };
 
 class ParallelRewireScheduler {

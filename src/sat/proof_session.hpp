@@ -57,6 +57,7 @@
 #include "netlist/network.hpp"
 #include "sat/solver.hpp"
 #include "sat/tseitin.hpp"
+#include "trace/metrics.hpp"
 
 namespace rapids {
 class Tracer;
@@ -64,7 +65,7 @@ class Tracer;
 
 namespace rapids::sat {
 
-struct ProofSessionStats {
+struct ProofSessionStats : NamedStats<ProofSessionStats> {
   std::uint64_t moves_checked = 0;
   std::uint64_t roots_proved_structurally = 0;
   std::uint64_t roots_proved_by_sat = 0;
@@ -89,37 +90,23 @@ struct ProofSessionStats {
   std::uint64_t recycled_ids_invalidated = 0;
   std::uint64_t cache_wipes = 0;
 
-  /// Field-wise combine/delta (all counters are monotone; -= computes the
-  /// harvest window between two snapshots). Keep the field list in these
-  /// two operators ONLY — per-field arithmetic anywhere else will silently
-  /// miss the next added counter.
-  ProofSessionStats& operator+=(const ProofSessionStats& o) {
-    moves_checked += o.moves_checked;
-    roots_proved_structurally += o.roots_proved_structurally;
-    roots_proved_by_sat += o.roots_proved_by_sat;
-    conflicts += o.conflicts;
-    gates_encoded += o.gates_encoded;
-    cache_hits += o.cache_hits;
-    windows_kept += o.windows_kept;
-    windows_abandoned += o.windows_abandoned;
-    entries_invalidated += o.entries_invalidated;
-    recycled_ids_invalidated += o.recycled_ids_invalidated;
-    cache_wipes += o.cache_wipes;
-    return *this;
-  }
-  ProofSessionStats& operator-=(const ProofSessionStats& o) {
-    moves_checked -= o.moves_checked;
-    roots_proved_structurally -= o.roots_proved_structurally;
-    roots_proved_by_sat -= o.roots_proved_by_sat;
-    conflicts -= o.conflicts;
-    gates_encoded -= o.gates_encoded;
-    cache_hits -= o.cache_hits;
-    windows_kept -= o.windows_kept;
-    windows_abandoned -= o.windows_abandoned;
-    entries_invalidated -= o.entries_invalidated;
-    recycled_ids_invalidated -= o.recycled_ids_invalidated;
-    cache_wipes -= o.cache_wipes;
-    return *this;
+  /// A run with the per-move window checker reports through these names
+  /// too: its moves_checked, roots, conflicts, and window_gates as
+  /// gates_encoded.
+  static constexpr auto fields() {
+    using S = ProofSessionStats;
+    return std::tuple{
+        StatField{"proof.moves_checked", &S::moves_checked},
+        StatField{"proof.roots_structural", &S::roots_proved_structurally},
+        StatField{"proof.roots_by_sat", &S::roots_proved_by_sat},
+        StatField{"proof.conflicts", &S::conflicts},
+        StatField{"proof.gates_encoded", &S::gates_encoded},
+        StatField{"proof.cache_hits", &S::cache_hits},
+        StatField{"proof.windows_kept", &S::windows_kept},
+        StatField{"proof.windows_abandoned", &S::windows_abandoned},
+        StatField{"proof.entries_invalidated", &S::entries_invalidated},
+        StatField{"proof.recycled_ids_invalidated", &S::recycled_ids_invalidated},
+        StatField{"proof.cache_wipes", &S::cache_wipes}};
   }
 };
 

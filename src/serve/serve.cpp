@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <cstring>
 #include <deque>
 #include <fstream>
 #include <mutex>
@@ -13,10 +12,6 @@
 #include <utility>
 
 #include "flow/flow.hpp"
-#include "gen/large.hpp"
-#include "gen/suite.hpp"
-#include "io/bench_reader.hpp"
-#include "io/blif_reader.hpp"
 #include "io/blif_writer.hpp"
 #include "library/cell_library.hpp"
 #include "session/session.hpp"
@@ -28,26 +23,6 @@
 namespace rapids {
 
 namespace {
-
-Network load_circuit_spec(const std::string& spec) {
-  auto ends_with = [&spec](const char* suffix) {
-    const std::size_t n = std::strlen(suffix);
-    return spec.size() >= n && spec.compare(spec.size() - n, n, suffix) == 0;
-  };
-  if (ends_with(".blif")) return read_blif_file(spec);
-  if (ends_with(".bench")) return read_bench_file(spec);
-  if (spec.rfind("gen:", 0) == 0) {
-    // gen:<gates>[:seed] — synthetic large-circuit profile.
-    LargeCircuitOptions lopt;
-    const std::string body = spec.substr(4);
-    const std::size_t colon = body.find(':');
-    lopt.target_gates =
-        static_cast<std::size_t>(std::stoull(body.substr(0, colon)));
-    if (colon != std::string::npos) lopt.seed = std::stoull(body.substr(colon + 1));
-    return make_large_circuit(lopt);
-  }
-  return make_benchmark(spec);
-}
 
 OptMode parse_mode(const std::string& m, const std::string& where) {
   if (m == "gsg") return OptMode::Gsg;
@@ -133,25 +108,33 @@ ServeJobResult run_serve_job(const ServeJob& job) {
     options.verify = job.verify;
 
     const CellLibrary lib = builtin_library_035();
-    const Network src = load_circuit_spec(job.circuit);
+    MetricsRegistry& metrics = session.metrics();
+    Network src;
+    {
+      const Timer read_timer;
+      src = load_circuit(job.circuit);
+      metrics.set_gauge("time.read_s", read_timer.seconds());
+    }
     PreparedCircuit prepared = prepare_circuit(job.circuit, src, lib, options);
     // Move-adopt, exactly like the one-shot CLI's default path: the flow
     // optimizes the mapped network in place; run_mode collected the flow
     // metrics into session.metrics().
     ModeRun run = run_mode(std::move(prepared), lib, job.mode, options);
 
-    session.metrics().set_label("circuit", job.circuit);
-    session.metrics().set_label("mode", to_string(job.mode));
-    session.metrics().set_label("threads", std::to_string(run.result.threads));
+    metrics.set_label("circuit", job.circuit);
+    metrics.set_label("mode", to_string(job.mode));
+    metrics.set_label("threads", std::to_string(run.result.threads));
 
     if (!job.out_blif.empty()) {
       // Same model name as `rapids flow --out`: byte-identical artifacts.
+      const Timer write_timer;
       write_blif_file(run.optimized, job.out_blif, job.circuit);
+      metrics.set_gauge("time.write_s", write_timer.seconds());
     }
     if (!job.out_metrics.empty()) {
       std::ofstream os(job.out_metrics);
       if (!os) throw InputError("cannot write " + job.out_metrics);
-      session.metrics().write_json(os);
+      metrics.write_json(os);
     }
     if (!job.out_provenance.empty()) {
       ProvenanceLog& prov = session.provenance();

@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "netlist/network.hpp"
+#include "trace/metrics.hpp"
 
 namespace rapids {
 
@@ -120,7 +121,7 @@ struct SuperGate {
 /// Per-update / accumulated counters for incremental partition maintenance.
 /// `groups_reused` is filled by the optimizer layer (probe-group cache);
 /// everything else by extract/reextract.
-struct PartitionStats {
+struct PartitionStats : NamedStats<PartitionStats> {
   std::uint64_t full_rebuilds = 0;
   std::uint64_t incremental_updates = 0;
   std::uint64_t sgs_reextracted = 0;
@@ -128,23 +129,14 @@ struct PartitionStats {
   std::uint64_t gates_reextracted = 0;
   std::uint64_t groups_reused = 0;
 
-  PartitionStats& operator+=(const PartitionStats& o) {
-    full_rebuilds += o.full_rebuilds;
-    incremental_updates += o.incremental_updates;
-    sgs_reextracted += o.sgs_reextracted;
-    sgs_reused += o.sgs_reused;
-    gates_reextracted += o.gates_reextracted;
-    groups_reused += o.groups_reused;
-    return *this;
-  }
-  PartitionStats& operator-=(const PartitionStats& o) {
-    full_rebuilds -= o.full_rebuilds;
-    incremental_updates -= o.incremental_updates;
-    sgs_reextracted -= o.sgs_reextracted;
-    sgs_reused -= o.sgs_reused;
-    gates_reextracted -= o.gates_reextracted;
-    groups_reused -= o.groups_reused;
-    return *this;
+  static constexpr auto fields() {
+    using S = PartitionStats;
+    return std::tuple{StatField{"partition.full_rebuilds", &S::full_rebuilds},
+                      StatField{"partition.incremental_updates", &S::incremental_updates},
+                      StatField{"partition.sgs_reextracted", &S::sgs_reextracted},
+                      StatField{"partition.sgs_reused", &S::sgs_reused},
+                      StatField{"partition.gates_reextracted", &S::gates_reextracted},
+                      StatField{"partition.groups_reused", &S::groups_reused}};
   }
 };
 

@@ -184,8 +184,10 @@ TEST(DeltaSyncFlowSlow, ThreadCountsBitIdenticalOnGeneratedCircuit) {
   EXPECT_EQ(blif_of(one.optimized), blif_of(four.optimized));
   // threads=1 probes the live engine and never syncs; threads=4 must have
   // ridden the delta path.
-  EXPECT_EQ(one.result.replica_delta_syncs + one.result.replica_full_syncs, 0u);
-  EXPECT_GT(four.result.replica_delta_syncs, 0u);
+  EXPECT_EQ(one.result.metrics.counter("sync.delta_syncs") +
+                one.result.metrics.counter("sync.full_syncs"),
+            0u);
+  EXPECT_GT(four.result.metrics.counter("sync.delta_syncs"), 0u);
 }
 
 TEST(DeltaSyncFlowSlow, DeltaOnOffProduceIdenticalNetlists) {
@@ -211,8 +213,8 @@ TEST(DeltaSyncFlowSlow, DeltaOnOffProduceIdenticalNetlists) {
   const ModeRun off = run_mode(prepared, lib035(), OptMode::Gsg, without);
   EXPECT_EQ(on.result.final_delay, off.result.final_delay);
   EXPECT_EQ(blif_of(on.optimized), blif_of(off.optimized));
-  EXPECT_GT(on.result.replica_delta_syncs, 0u);
-  EXPECT_EQ(off.result.replica_delta_syncs, 0u);
+  EXPECT_GT(on.result.metrics.counter("sync.delta_syncs"), 0u);
+  EXPECT_EQ(off.result.metrics.counter("sync.delta_syncs"), 0u);
 }
 
 TEST(DeltaSyncFlowSlow, PruneCacheOnOffProduceIdenticalNetlists) {

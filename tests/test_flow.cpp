@@ -1,8 +1,13 @@
 // End-to-end flow: generate -> map -> place -> optimize -> verify -> row.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+
 #include "flow/flow.hpp"
+#include "serve/serve.hpp"
 #include "test_helpers.hpp"
+#include "util/json_lite.hpp"
 
 namespace rapids {
 namespace {
@@ -36,6 +41,33 @@ TEST(Flow, PrepareCircuitRecordsSetupStageTimes) {
                     rapids::testing::session_flow_options(session, fast_flow()));
   for (const char* gauge : {"time.map_s", "time.place_s", "time.initial_sta_s"}) {
     EXPECT_GT(session.metrics().gauge(gauge), 0.0) << gauge;  // 0 when unset
+  }
+}
+
+TEST(Flow, StageTimersCoverReadVerifyAndWrite) {
+  // run_mode times verification (the reference clone included); a serve
+  // job, like `rapids flow`, also times the circuit read and the BLIF
+  // write, and writes the BLIF before its metrics file.
+  SessionContext session("verify");
+  const FlowOptions options = rapids::testing::session_flow_options(session, fast_flow());
+  (void)run_mode(prepare_benchmark("c432", lib035(), options), lib035(),
+                 OptMode::GsgPlusGS, options);
+  EXPECT_GT(session.metrics().gauge("time.verify_s"), 0.0);
+
+  const std::string dir = ::testing::TempDir();
+  const ServeJobResult job = run_serve_job(parse_serve_job(
+      "stage c432 effort=1 iters=1 out=" + dir + "stage.blif metrics=" + dir +
+          "stage.metrics.json",
+      0));
+  ASSERT_TRUE(job.ok) << job.error;
+  std::ifstream is(dir + "stage.metrics.json");
+  std::ostringstream text;
+  text << is.rdbuf();
+  const JsonValue gauges = *parse_json(text.str()).find("gauges");
+  for (const char* gauge :
+       {"time.read_s", "time.map_s", "time.verify_s", "time.write_s"}) {
+    ASSERT_NE(gauges.find(gauge), nullptr) << gauge;
+    EXPECT_GT(gauges.find(gauge)->as_number(), 0.0) << gauge;
   }
 }
 

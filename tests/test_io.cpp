@@ -180,6 +180,54 @@ TEST(Bench, UnknownSignalRejected) {
   EXPECT_THROW((void)read_bench(ss), InputError);
 }
 
+/// read_bench must reject `text` with an InputError naming `line`.
+void expect_bench_rejected_at(const std::string& text, int line) {
+  std::stringstream ss(text);
+  try {
+    (void)read_bench(ss);
+    ADD_FAILURE() << "accepted:\n" << text;
+  } catch (const InputError& e) {
+    EXPECT_NE(std::string(e.what()).find("bench line " + std::to_string(line) + ":"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Bench, RejectsRedefinedGate) {
+  // Used to keep the last definition: y silently became OR.
+  expect_bench_rejected_at(
+      "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)\ny = OR(a, b)\n", 5);
+}
+
+TEST(Bench, RejectsGateShadowingPrimaryInput) {
+  // Used to shadow input a, so y = AND(a, b) became constant 0.
+  expect_bench_rejected_at(
+      "INPUT(a)\nINPUT(b)\nOUTPUT(y)\na = NOT(b)\ny = AND(a, b)\n", 4);
+}
+
+TEST(Bench, RejectsSingleInputGateWithTwoInputs) {
+  // Used to drop b silently.
+  expect_bench_rejected_at("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NOT(a, b)\n", 4);
+}
+
+TEST(Bench, RejectsGateWithoutInputs) {
+  // Used to build y as constant 1.
+  expect_bench_rejected_at("INPUT(a)\nOUTPUT(y)\ny = AND()\n", 3);
+}
+
+TEST(Bench, RejectsDffWithTwoInputs) {
+  // Used to throw InternalError from an assert.
+  expect_bench_rejected_at(
+      "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nq = DFF(a, b)\ny = AND(a, q)\n", 4);
+}
+
+TEST(Bench, RejectsMisspelledKeywordAndTrailingText) {
+  // INPUTS(a) used to be read as INPUT(a); text after ')' was ignored.
+  expect_bench_rejected_at("INPUTS(a)\nOUTPUT(a)\n", 1);
+  expect_bench_rejected_at("INPUT(a) junk\nOUTPUT(y)\ny = NOT(a)\n", 1);
+  expect_bench_rejected_at("INPUT(a)\nOUTPUT(y)\ny = NOT(a) junk\n", 3);
+}
+
 TEST(PlacementIo, RoundTrip) {
   const Network net = rapids::testing::mapped(random_mapped_network(81));
   PlacerOptions popt;

@@ -583,15 +583,18 @@ TEST(Scheduler, GainHistogramCountsOnlyTimingCommits) {
     for (const ProvenanceRecord& rec : session.provenance().records()) {
       if (rec.stage != ProvenanceStage::Committed) continue;
       ++committed;
-      if (move_id_round(rec.move_id) == run.result.sched_rounds) ++first_fit;
+      if (move_id_round(rec.move_id) == run.result.metrics.counter("scheduler.rounds")) {
+        ++first_fit;
+      }
     }
     EXPECT_EQ(committed, run.result.swaps_committed + run.result.resizes_committed)
         << "threads=" << threads;
     EXPECT_GT(first_fit, 0) << "threads=" << threads;  // area recovery ran
     EXPECT_GT(committed - first_fit, 0) << "threads=" << threads;
-    EXPECT_EQ(run.result.gain_hist.count(), committed - first_fit)
-        << "threads=" << threads;
-    EXPECT_GT(run.result.gain_hist.p50(), 0.0) << "threads=" << threads;
+    const Histogram* gains = run.result.metrics.histogram("hist.probe_gain_ns");
+    ASSERT_NE(gains, nullptr);
+    EXPECT_EQ(gains->count(), committed - first_fit) << "threads=" << threads;
+    EXPECT_GT(gains->p50(), 0.0) << "threads=" << threads;
   }
 }
 

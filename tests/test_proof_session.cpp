@@ -381,8 +381,8 @@ TEST_P(ParanoidSessionFlowSlow, SessionMatchesPerMoveSolverMoveForMove) {
   EXPECT_EQ(with_session.result.moves_proved, per_move.result.moves_proved);
   EXPECT_GT(with_session.result.moves_proved, 0u);
   // The headline: the session re-encodes less than windows-from-scratch.
-  EXPECT_LT(with_session.result.proof_gates_encoded,
-            per_move.result.proof_gates_encoded);
+  EXPECT_LT(with_session.result.metrics.counter("proof.gates_encoded"),
+            per_move.result.metrics.counter("proof.gates_encoded"));
 }
 
 INSTANTIATE_TEST_SUITE_P(Table1, ParanoidSessionFlowSlow,

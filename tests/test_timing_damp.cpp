@@ -272,7 +272,7 @@ void expect_damp_identity(const char* name, const PreparedCircuit& prepared,
   const ModeRun ref = run_damp_config(prepared, base, 1, /*damp=*/false);
   const std::string ref_blif = blif_of(ref.optimized);
   ASSERT_FALSE(ref_blif.empty()) << name;
-  EXPECT_EQ(ref.result.damp_cutoffs, 0u) << name;
+  EXPECT_EQ(ref.result.metrics.counter("timing.damp_cutoffs"), 0u) << name;
   for (const int threads : {1, 4}) {
     for (const bool damp : {false, true}) {
       if (threads == 1 && !damp) continue;  // the reference itself
@@ -285,8 +285,8 @@ void expect_damp_identity(const char* name, const PreparedCircuit& prepared,
       EXPECT_EQ(ref.result.swaps_committed, r.result.swaps_committed) << cfg;
       EXPECT_EQ(ref.result.resizes_committed, r.result.resizes_committed) << cfg;
       if (!damp) {
-        EXPECT_EQ(r.result.damp_cutoffs, 0u) << cfg;
-        EXPECT_EQ(r.result.margin_refreshes, 0u) << cfg;
+        EXPECT_EQ(r.result.metrics.counter("timing.damp_cutoffs"), 0u) << cfg;
+        EXPECT_EQ(r.result.metrics.counter("timing.margin_refreshes"), 0u) << cfg;
       }
     }
   }

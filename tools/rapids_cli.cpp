@@ -89,7 +89,6 @@
 //       Threshold of the one process logger, which every flow and serve
 //       job logs through. Lines read `[rapids:LEVEL <session-tag> wN] msg`;
 //       the session tag and worker id appear when set.
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -98,10 +97,7 @@
 
 #include "flow/flow.hpp"
 #include "fuzz/fuzz.hpp"
-#include "gen/large.hpp"
 #include "gen/suite.hpp"
-#include "io/bench_reader.hpp"
-#include "io/blif_reader.hpp"
 #include "io/blif_writer.hpp"
 #include "io/placement_io.hpp"
 #include "library/cell_library.hpp"
@@ -116,29 +112,11 @@
 #include "trace/provenance.hpp"
 #include "trace/trace.hpp"
 #include "util/log.hpp"
+#include "util/timer.hpp"
 
 namespace {
 
 using namespace rapids;
-
-Network load_circuit(const std::string& arg) {
-  auto ends_with = [&arg](const char* suffix) {
-    const std::size_t n = std::strlen(suffix);
-    return arg.size() >= n && arg.compare(arg.size() - n, n, suffix) == 0;
-  };
-  if (ends_with(".blif")) return read_blif_file(arg);
-  if (ends_with(".bench")) return read_bench_file(arg);
-  if (arg.rfind("gen:", 0) == 0) {
-    // gen:<gates>[:seed] — synthetic large-circuit profile.
-    LargeCircuitOptions lopt;
-    const std::string spec = arg.substr(4);
-    const std::size_t colon = spec.find(':');
-    lopt.target_gates = static_cast<std::size_t>(std::stoull(spec.substr(0, colon)));
-    if (colon != std::string::npos) lopt.seed = std::stoull(spec.substr(colon + 1));
-    return make_large_circuit(lopt);
-  }
-  return make_benchmark(arg);
-}
 
 int cmd_list() {
   std::cout << "built-in benchmark suite (regenerated Table 1 circuits):\n";
@@ -260,7 +238,13 @@ int cmd_flow(const std::vector<std::string>& args) {
   if (!out_provenance.empty()) session.provenance().enable();
 
   const CellLibrary lib = builtin_library_035();
-  const Network src = load_circuit(target);
+  MetricsRegistry& reg = session.metrics();
+  Network src;
+  {
+    const Timer timer;
+    src = load_circuit(target);
+    reg.set_gauge("time.read_s", timer.seconds());
+  }
   PreparedCircuit prepared = prepare_circuit(target, src, lib, options);
   std::cout << target << ": " << prepared.mapped.num_logic_gates()
             << " cells placed, initial delay " << prepared.initial_delay << " ns\n";
@@ -270,75 +254,84 @@ int cmd_flow(const std::vector<std::string>& args) {
   const bool keep_prepared = buffers || !out_place.empty();
   ModeRun run = keep_prepared ? run_mode(prepared, lib, mode, options)
                               : run_mode(std::move(prepared), lib, mode, options);
+  // Summary lines read the session's registry, the one --metrics-json
+  // writes (run_mode merged the run's metrics into it).
   const OptimizerResult& r = run.result;
+  const auto count = [&reg](const char* name) { return reg.counter(name); };
+  const auto secs = [&reg](const char* name) { return reg.gauge(name); };
+  const std::uint64_t probes = count("engine.probes");
   std::cout << to_string(mode) << ": delay " << r.initial_delay << " -> "
             << r.final_delay << " ns (" << r.improvement_percent() << "%), area "
             << r.area_delta_percent() << "%, " << r.swaps_committed << " swaps / "
-            << r.resizes_committed << " resizes, " << r.probes << " probes on "
+            << r.resizes_committed << " resizes, " << probes << " probes on "
             << r.threads << (r.threads == 1 ? " thread, " : " threads, ")
             << r.seconds << " s"
             << (options.verify ? (run.verified ? ", verified" : ", VERIFY FAILED")
                                : "")
             << "\n";
-  std::cout << "partition: " << r.partition.sgs_reextracted
-            << " sgs re-extracted / " << r.partition.sgs_reused << " reused over "
-            << r.partition.incremental_updates << " incremental updates, "
-            << r.partition.groups_reused << " probe groups served from cache, "
-            << r.partition.full_rebuilds << " full rebuild"
-            << (r.partition.full_rebuilds == 1 ? "" : "s") << "\n";
-  // Every bucket is disjoint (sync is quoted inside probe, not added), so
-  // the sum tracks the optimize total; the optimizer itself warns when the
-  // unattributed remainder exceeds 5%.
-  std::cout << "phases: setup " << r.seconds_setup << " s, groups "
-            << r.seconds_groups << " s, probe " << r.seconds_probe
-            << " s (incl. sync " << r.seconds_sync << " s, margins "
-            << r.seconds_timing << " s), arbitrate "
-            << r.seconds_arbitrate << " s, commit " << r.seconds_commit
-            << " s, finalize " << r.seconds_finalize << " s, other "
-            << r.seconds_unattributed << " s = " << r.seconds << " s\n";
-  if (r.gain_hist.count() > 0) {
-    std::cout << "gains: committed-move gain (ns) " << r.gain_hist.to_string()
-              << "\n";
+  const std::uint64_t full_rebuilds = count("partition.full_rebuilds");
+  std::cout << "partition: " << count("partition.sgs_reextracted")
+            << " sgs re-extracted / " << count("partition.sgs_reused") << " reused over "
+            << count("partition.incremental_updates") << " incremental updates, "
+            << count("partition.groups_reused") << " probe groups served from cache, "
+            << full_rebuilds << " full rebuild" << (full_rebuilds == 1 ? "" : "s")
+            << "\n";
+  // Every bucket is disjoint (sync and margins are quoted inside probe, not
+  // added), so the sum tracks the optimize total; the optimizer itself
+  // warns when the unattributed remainder exceeds 5%.
+  std::cout << "phases: setup " << secs("time.setup_s") << " s, groups "
+            << secs("time.groups_s") << " s, probe " << secs("time.probe_s")
+            << " s (incl. sync " << secs("time.sync_s") << " s, margins "
+            << secs("time.timing_s") << " s), arbitrate " << secs("time.arbitrate_s")
+            << " s, commit " << secs("time.commit_s") << " s, finalize "
+            << secs("time.finalize_s") << " s, other " << secs("time.unattributed_s")
+            << " s = " << r.seconds << " s\n";
+  if (const Histogram* gains = reg.histogram("hist.probe_gain_ns");
+      gains != nullptr && gains->count() > 0) {
+    std::cout << "gains: committed-move gain (ns) " << gains->to_string() << "\n";
   }
-  std::cout << "scale: " << r.canonicalize_calls << " canonicalize calls / "
-            << r.gates_canonicalized << " gates re-sorted after setup, "
-            << r.candidates_enumerated << " swap candidates enumerated, "
-            << r.pruned_groups_cached << " pruned lists served by slack epoch; "
-            << "replica sync " << r.replica_delta_syncs << " delta ("
-            << r.replica_sync_bytes_delta << " B over " << r.replica_delta_commits
-            << " commits) / " << r.replica_full_syncs << " full ("
-            << r.replica_sync_bytes_full << " B)\n";
+  std::cout << "scale: " << count("engine.canonicalize_calls") << " canonicalize calls / "
+            << count("engine.gates_canonicalized") << " gates re-sorted after setup, "
+            << count("engine.candidates_enumerated") << " swap candidates enumerated, "
+            << count("engine.pruned_groups_cached")
+            << " pruned lists served by slack epoch; replica sync "
+            << count("sync.delta_syncs") << " delta (" << count("sync.bytes_delta")
+            << " B over " << count("sync.delta_commits") << " commits) / "
+            << count("sync.full_syncs") << " full (" << count("sync.bytes_full")
+            << " B)\n";
   // Propagation shape: how much of the structural fanout cone each probe
   // actually walked, and how much the slack-margin cutoff suppressed.
-  if (r.probes > 0) {
-    const double visited = static_cast<double>(r.gates_propagated);
-    const double suppressed = static_cast<double>(r.damp_cutoffs);
-    std::cout << "timing: " << r.gates_propagated << " gates propagated ("
-              << visited / static_cast<double>(r.probes) << " per probe), "
-              << r.probes_pruned << " probes pruned off the critical path, "
-              << r.damp_cutoffs << " damp cutoffs ("
+  if (probes > 0) {
+    const std::uint64_t propagated = count("timing.gates_propagated");
+    const std::uint64_t cutoffs = count("timing.damp_cutoffs");
+    const double visited = static_cast<double>(propagated);
+    const double suppressed = static_cast<double>(cutoffs);
+    std::cout << "timing: " << propagated << " gates propagated ("
+              << visited / static_cast<double>(probes) << " per probe), "
+              << count("timing.probes_pruned") << " probes pruned off the critical path, "
+              << cutoffs << " damp cutoffs ("
               << (visited + suppressed > 0.0
                       ? 100.0 * suppressed / (visited + suppressed)
                       : 0.0)
-              << "%), " << r.damp_fallbacks << " undamped replays, "
-              << r.margin_refreshes << " margin refreshes\n";
+              << "%), " << count("timing.damp_fallbacks") << " undamped replays, "
+              << count("timing.margin_refreshes") << " margin refreshes\n";
   }
   if (options.opt.paranoid) {
     std::cout << "paranoid: " << r.moves_proved
               << " committed moves SAT-proved on their windows ("
               << (options.opt.sat_session ? "incremental session" : "per-move solver")
-              << ": " << r.proof_gates_encoded << " gates encoded, "
-              << r.proof_conflicts << " conflicts";
+              << ": " << count("proof.gates_encoded") << " gates encoded, "
+              << count("proof.conflicts") << " conflicts";
     if (options.opt.sat_session) {
-      std::cout << ", " << r.proof_cache_hits << " cone cache hits, "
-                << r.solver_learned_kept << " learned clauses retained / "
-                << r.solver_learned_deleted << " evicted over "
-                << r.solver_reduce_dbs << " reduce_db rounds";
+      std::cout << ", " << count("proof.cache_hits") << " cone cache hits, "
+                << count("solver.learned_kept") << " learned clauses retained / "
+                << count("solver.learned_deleted") << " evicted over "
+                << count("solver.reduce_dbs") << " reduce_db rounds";
     }
     std::cout << ")\n";
-    if (r.proof_conflict_hist.count() > 0) {
-      std::cout << "proof-conflicts: per-move " << r.proof_conflict_hist.to_string()
-                << "\n";
+    if (const Histogram* conflicts = reg.histogram("hist.proof_conflicts");
+        conflicts != nullptr && conflicts->count() > 0) {
+      std::cout << "proof-conflicts: per-move " << conflicts->to_string() << "\n";
     }
   }
 
@@ -351,9 +344,21 @@ int cmd_flow(const std::vector<std::string>& args) {
     std::cout << "wrote " << out_trace << " (" << tracer.recorded()
               << " events, " << tracer.dropped() << " dropped)\n";
   }
+  if (buffers) {
+    Placement pl = prepared.placement;
+    Sta sta(run.optimized, lib, pl);
+    const FanoutOptResult fr = optimize_fanout(run.optimized, pl, lib, sta);
+    std::cout << "fanout-opt: " << fr.buffers_inserted << " buffers, delay "
+              << fr.initial_delay << " -> " << fr.final_delay << " ns\n";
+  }
+  // The BLIF goes out before the metrics file, so its write time is in it.
+  if (!out_blif.empty()) {
+    const Timer timer;
+    write_blif_file(run.optimized, out_blif, target);
+    reg.set_gauge("time.write_s", timer.seconds());
+    std::cout << "wrote " << out_blif << "\n";
+  }
   if (!out_metrics.empty()) {
-    // run_mode collected the flow metrics into the session's registry.
-    MetricsRegistry& reg = session.metrics();
     reg.set_label("circuit", target);
     reg.set_label("mode", to_string(mode));
     reg.set_label("threads", std::to_string(r.threads));
@@ -376,18 +381,6 @@ int cmd_flow(const std::vector<std::string>& args) {
     std::cout << "wrote " << out_provenance << " (" << prov.records().size()
               << " events, " << (chains < 0 ? 0 : chains)
               << " committed chains resolved)\n";
-  }
-
-  if (buffers) {
-    Placement pl = prepared.placement;
-    Sta sta(run.optimized, lib, pl);
-    const FanoutOptResult fr = optimize_fanout(run.optimized, pl, lib, sta);
-    std::cout << "fanout-opt: " << fr.buffers_inserted << " buffers, delay "
-              << fr.initial_delay << " -> " << fr.final_delay << " ns\n";
-  }
-  if (!out_blif.empty()) {
-    write_blif_file(run.optimized, out_blif, target);
-    std::cout << "wrote " << out_blif << "\n";
   }
   if (!out_place.empty()) {
     write_placement_file(prepared.mapped, prepared.placement, out_place);
