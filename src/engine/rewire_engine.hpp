@@ -234,7 +234,7 @@ class RewireEngine {
   /// Self-check mode: after every incremental partition update, run a full
   /// extraction and require canonical equality (throws InternalError with a
   /// diagnostic on mismatch). O(network) per commit — for tests and the
-  /// fuzzer's --extract-diff mode only.
+  /// fuzzer's extract-diff row only.
   void set_extract_diff(bool on) { extract_diff_ = on; }
 
   /// True when a CrossSg candidate's three supergate slots still carry the

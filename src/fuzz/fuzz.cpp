@@ -1,16 +1,21 @@
 #include "fuzz/fuzz.hpp"
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <ostream>
 #include <sstream>
 
 #include "engine/rewire_engine.hpp"
-#include "flow/flow.hpp"
+#include "gen/large.hpp"
 #include "gen/random_circuit.hpp"
+#include "io/bench_reader.hpp"
+#include "io/bench_writer.hpp"
 #include "io/blif_writer.hpp"
 #include "library/cell_library.hpp"
 #include "netlist/validate.hpp"
+#include "util/assert.hpp"
 #include "util/rng.hpp"
 #include "verify/equivalence.hpp"
 
@@ -35,153 +40,166 @@ OptMode mode_for_iteration(int iter) {
   }
 }
 
-/// One differential experiment: full flow at threads=1 and threads=N on a
-/// source network. Returns empty string on success, else a "kind: detail"
-/// failure description.
+/// One row's run against the reference; "" when it reproduces it. The
+/// per-move prover's verdicts must be compatible with the session
+/// prover's, move for move: equal, or window-proved by the session where
+/// the per-move window escalated to a full miter (cached cones carry more
+/// structure than a fresh window). Both keep the move either way.
+std::string compare_row(const ModeRun& ref, const std::string& ref_blif, const ModeRun& run,
+                        const OptimizerOptions& opt,
+                        const std::optional<std::vector<std::uint8_t>>& session_verdicts) {
+  if (!run.verified) return "verification failed";
+  const std::vector<std::uint8_t>& verdicts = run.result.paranoid_verdicts;
+  if (opt.paranoid && !opt.sat_session) {
+    const std::vector<std::uint8_t>& session = *session_verdicts;
+    if (session.size() != verdicts.size()) return "prover modes checked different move counts";
+    constexpr auto kWindow = static_cast<std::uint8_t>(ProofVerdict::WindowProved);
+    constexpr auto kEscalated = static_cast<std::uint8_t>(ProofVerdict::EscalatedProved);
+    for (std::size_t i = 0; i < verdicts.size(); ++i) {
+      if (session[i] != verdicts[i] && !(session[i] == kWindow && verdicts[i] == kEscalated)) {
+        return "incompatible proof verdicts at move " + std::to_string(i) + " (session " +
+               std::to_string(session[i]) + " vs per-move " + std::to_string(verdicts[i]) +
+               ")";
+      }
+    }
+  }
+  // An inconclusive (budget-driven) reject drops a move the plain run
+  // keeps, so only inconclusive-free runs must match the reference.
+  constexpr auto kInconclusive = static_cast<std::uint8_t>(ProofVerdict::Inconclusive);
+  if (std::count(verdicts.begin(), verdicts.end(), kInconclusive) > 0) return "";
+  if (blif_string(run.optimized) != ref_blif) return "netlist differs from the reference";
+  if (run.result.final_delay != ref.result.final_delay) {
+    return "final delay " + std::to_string(run.result.final_delay) + " vs reference " +
+           std::to_string(ref.result.final_delay);
+  }
+  if (run.result.swaps_committed != ref.result.swaps_committed ||
+      run.result.resizes_committed != ref.result.resizes_committed) {
+    return "commit counts differ from the reference";
+  }
+  return "";
+}
+
+/// One fuzz experiment on a source network: the exactness rows, then
+/// equivalence and structure of the reference netlist. Returns "" on
+/// success, else a "kind: detail" failure description.
 std::string run_experiment(const Network& src, OptMode mode, std::uint64_t flow_seed,
-                           int threads, bool sat_crosscheck, bool paranoid_diff,
-                           bool extract_diff, bool timing_damp_diff) {
+                           int threads, bool sat_crosscheck,
+                           const std::vector<ExactnessOracle>& rows) {
   const CellLibrary& lib = builtin_library_035();
   FlowOptions fopt;
   fopt.placer.seed = flow_seed;
   fopt.placer.effort = 1.0;
   fopt.opt.max_iterations = 2;
-  // Arm the engine's incremental-vs-full partition self-check: every
-  // committed move cross-checks the spliced partition against a fresh full
-  // extraction (throws "extract-diff mismatch" on any canonical drift).
-  fopt.opt.extract_diff = extract_diff;
-  // Arm the Sta's per-probe self-check: every damped propagation is
-  // replayed undamped and any PO-arrival divergence throws ("timing-damp-
-  // diff: ..."), so the shrinker can chase the exact probe that broke.
-  fopt.opt.timing_damp_diff = timing_damp_diff;
   fopt.verify = false;  // the harness does its own, stronger checks
 
   try {
-    const PreparedCircuit prepared = prepare_circuit("fuzz", src, lib, fopt);
-
-    fopt.opt.threads = 1;
-    const ModeRun serial = run_mode(prepared, lib, mode, fopt);
-    fopt.opt.threads = threads;
-    const ModeRun parallel = run_mode(prepared, lib, mode, fopt);
-
-    if (threads > 1 && blif_string(serial.optimized) != blif_string(parallel.optimized)) {
-      return "determinism: threads=1 and threads=" + std::to_string(threads) +
-             " produced different netlists";
-    }
-
-    if (extract_diff) {
-      // Flow-level parity: incremental partition maintenance must commit
-      // the exact same move stream as full re-extraction per commit.
-      FlowOptions xopt = fopt;
-      xopt.opt.threads = 1;
-      xopt.opt.extract_diff = false;
-      xopt.opt.incremental_extraction = false;
-      const ModeRun full = run_mode(prepared, lib, mode, xopt);
-      if (blif_string(full.optimized) != blif_string(serial.optimized)) {
-        return "extract-parity: incremental and full-rebuild-per-commit flows "
-               "produced different netlists";
-      }
-    }
-
-    if (timing_damp_diff) {
-      // Flow-level parity: slack-margin damped propagation must produce
-      // byte-identical netlists AND the identical final delay to full-cone
-      // propagation — damping only changes how much of the fanout cone a
-      // probe walks, never any probe objective.
-      FlowOptions dopt = fopt;
-      dopt.opt.threads = 1;
-      dopt.opt.timing_damp = false;
-      dopt.opt.timing_damp_diff = false;
-      const ModeRun undamped = run_mode(prepared, lib, mode, dopt);
-      if (blif_string(undamped.optimized) != blif_string(serial.optimized)) {
-        return "timing-damp: damped and full-cone flows produced different "
-               "netlists";
-      }
-      if (undamped.result.final_delay != serial.result.final_delay) {
-        return "timing-damp: damped and full-cone flows report different "
-               "final delays (" + std::to_string(serial.result.final_delay) +
-               " vs " + std::to_string(undamped.result.final_delay) + ")";
-      }
-    }
-
-    if (paranoid_diff) {
-      // Prover differential: the incremental proof session and the
-      // per-move throwaway solver must accept the same commit stream with
-      // move-for-move compatible verdicts, and neither may perturb the
-      // optimization result. "Compatible" because the session window is
-      // strictly STRONGER than the per-move window (cached cones carry
-      // more structure): where per-move incompleteness forces a full-miter
-      // escalation, the session may window-prove the same move directly.
-      // Both still keep the move, so the netlists must stay byte-equal.
-      // An Inconclusive reject (conservative, budget-driven) legitimately
-      // drops a move the plain run kept, so the netlist cross-checks only
-      // apply to inconclusive-free runs — at the default budgets on fuzz-
-      // sized circuits that is every run.
-      FlowOptions popt = fopt;
-      popt.opt.threads = 1;
-      popt.opt.paranoid = true;
-      popt.opt.sat_session = true;
-      const ModeRun with_session = run_mode(prepared, lib, mode, popt);
-      popt.opt.sat_session = false;
-      const ModeRun per_move = run_mode(prepared, lib, mode, popt);
-      const auto& sv = with_session.result.paranoid_verdicts;
-      const auto& pv = per_move.result.paranoid_verdicts;
-      if (sv.size() != pv.size()) {
-        return "paranoid: prover modes checked different move counts (" +
-               std::to_string(sv.size()) + " vs " + std::to_string(pv.size()) + ")";
-      }
-      constexpr auto kWindow = static_cast<std::uint8_t>(ProofVerdict::WindowProved);
-      constexpr auto kEscalated =
-          static_cast<std::uint8_t>(ProofVerdict::EscalatedProved);
-      bool any_inconclusive = false;
-      for (std::size_t i = 0; i < sv.size(); ++i) {
-        const bool compatible =
-            sv[i] == pv[i] || (sv[i] == kWindow && pv[i] == kEscalated);
-        if (!compatible) {
-          return "paranoid: incompatible proof verdicts at move " +
-                 std::to_string(i) + " (session " + std::to_string(sv[i]) +
-                 " vs per-move " + std::to_string(pv[i]) + ")";
-        }
-        if (sv[i] != kWindow && sv[i] != kEscalated) any_inconclusive = true;
-      }
-      if (!any_inconclusive) {
-        if (blif_string(with_session.optimized) != blif_string(serial.optimized)) {
-          return "paranoid: session-mode paranoid flow diverged from the plain flow";
-        }
-        if (blif_string(with_session.optimized) != blif_string(per_move.optimized)) {
-          return "paranoid: session-mode and per-move-solver netlists differ";
-        }
-        if (with_session.result.moves_proved != per_move.result.moves_proved) {
-          return "paranoid: proved-move counts differ between prover modes";
-        }
-      }
-    }
+    // Run the circuit as `rapids flow` reads back its .bench reproducer
+    // (gate order and ids included), so the repro commands see this run.
+    std::stringstream bench;
+    write_bench(src, bench);
+    const PreparedCircuit prepared = prepare_circuit("fuzz", read_bench(bench), lib, fopt);
+    Network reference;
+    const std::string failure = check_exactness(
+        prepared, lib, mode, fopt, threads, rows,
+        [&reference](const ExactnessOracle* row, const ModeRun& run) {
+          if (row == nullptr) reference = run.optimized;
+        });
+    if (!failure.empty()) return failure;
 
     EquivalenceOptions eopt;
     eopt.sat_proof = sat_crosscheck;
-    const EquivalenceResult eq = check_equivalence(prepared.mapped, serial.optimized, eopt);
+    const EquivalenceResult eq = check_equivalence(prepared.mapped, reference, eopt);
     if (!eq.equivalent) {
       return "equivalence: optimized netlist differs at output " + eq.failing_output;
     }
 
-    const auto problems = validate(serial.optimized);
+    const auto problems = validate(reference);
     if (!problems.empty()) {
       return "structure: " + problems.front();
     }
   } catch (const std::exception& e) {
-    const std::string what = e.what();
-    if (what.find("extract-diff mismatch") != std::string::npos) {
-      return "extract-diff: " + what;  // distinct kind: the shrinker chases it
-    }
-    if (what.find("timing-damp-diff") != std::string::npos) {
-      return "timing-damp-diff: " + what;  // per-probe PO-arrival divergence
-    }
-    return "exception: " + what;
+    return std::string("exception: ") + e.what();
   }
   return "";
 }
 
 }  // namespace
+
+std::string ExactnessOracle::flags_for(int threads) const {
+  std::istringstream in(flags);
+  std::string out, token;
+  while (in >> token) {
+    if (!out.empty()) out += ' ';
+    out += token == "N" ? std::to_string(threads) : token;
+  }
+  return out;
+}
+
+std::vector<ExactnessOracle> exactness_oracles() {
+  using Opt = OptimizerOptions;
+  return {
+      {"threads", "--threads N", [](Opt& o, int n) { o.threads = n; }},
+      {"clone-sync", "--threads N --no-delta-sync",
+       [](Opt& o, int n) { o.threads = n; o.delta_replica_sync = false; }},
+      {"full-extraction", "--no-incremental",
+       [](Opt& o, int) { o.incremental_extraction = false; }},
+      {"extract-diff", "--extract-diff", [](Opt& o, int) { o.extract_diff = true; }},
+      {"undamped", "--no-timing-damp", [](Opt& o, int) { o.timing_damp = false; }},
+      {"damp-diff", "--timing-damp-diff", [](Opt& o, int) { o.timing_damp_diff = true; }},
+      {"no-prune-cache", "--no-prune-cache", [](Opt& o, int) { o.prune_cache = false; }},
+      {"paranoid", "--paranoid", [](Opt& o, int) { o.paranoid = true; }},
+      {"per-move-prover", "--paranoid --no-sat-session",
+       [](Opt& o, int) { o.paranoid = true; o.sat_session = false; }},
+  };
+}
+
+std::vector<ExactnessOracle> exactness_oracles(
+    std::initializer_list<std::string_view> names) {
+  const std::vector<ExactnessOracle> all = exactness_oracles();
+  std::vector<ExactnessOracle> rows;
+  for (const std::string_view name : names) {
+    const auto it = std::find_if(all.begin(), all.end(),
+                                 [name](const ExactnessOracle& row) { return row.name == name; });
+    if (it == all.end()) throw InputError("unknown exactness oracle: " + std::string(name));
+    rows.push_back(*it);
+  }
+  return rows;
+}
+
+std::string check_exactness(const PreparedCircuit& prepared, const CellLibrary& lib,
+                            OptMode mode, const FlowOptions& base, int threads,
+                            const std::vector<ExactnessOracle>& rows,
+                            const ExactnessObserver& observe) {
+  FlowOptions ref_options = base;
+  ref_options.opt.threads = 1;
+  const ModeRun ref = run_mode(prepared, lib, mode, ref_options);
+  if (observe) observe(nullptr, ref);
+  if (!ref.verified) return "reference: verification failed";
+  const std::string ref_blif = blif_string(ref.optimized);
+
+  std::optional<std::vector<std::uint8_t>> session_verdicts;  // of the session prover
+  for (const ExactnessOracle& row : rows) {
+    FlowOptions options = ref_options;
+    row.apply(options.opt, threads);
+    const OptimizerOptions& opt = options.opt;
+    std::string detail;
+    try {
+      const ModeRun run = run_mode(prepared, lib, mode, options);
+      if (observe) observe(&row, run);
+      if (opt.paranoid && opt.sat_session) session_verdicts = run.result.paranoid_verdicts;
+      if (opt.paranoid && !opt.sat_session && !session_verdicts) {
+        FlowOptions session = options;  // no session-prover row ran first
+        session.opt.sat_session = true;
+        session_verdicts = run_mode(prepared, lib, mode, session).result.paranoid_verdicts;
+      }
+      detail = compare_row(ref, ref_blif, run, opt, session_verdicts);
+    } catch (const std::exception& e) {
+      detail = e.what();  // a self-check the row armed
+    }
+    if (!detail.empty()) return row.name + ": " + detail;
+  }
+  return "";
+}
 
 Network shrink_network(const Network& src,
                        const std::function<bool(const Network&)>& still_fails,
@@ -239,6 +257,7 @@ Network shrink_network(const Network& src,
 
 FuzzResult run_fuzz(const FuzzOptions& options, std::ostream& log) {
   FuzzResult result;
+  const std::vector<ExactnessOracle> all_rows = exactness_oracles();
   for (int iter = 0; iter < options.iterations; ++iter) {
     ++result.iterations;
     const RandomCircuitOptions profile = random_fuzz_profile(
@@ -246,16 +265,18 @@ FuzzResult run_fuzz(const FuzzOptions& options, std::ostream& log) {
         options.max_gates);
     const std::uint64_t circuit_seed =
         Rng::substream(options.seed, static_cast<std::uint64_t>(iter) * 2).next_u64();
-    const Network src = random_network(circuit_seed, profile);
+    // Every fourth circuit comes from the gen: profile. Random circuits never
+    // grow a supergate wide enough to prune its swap list (no-prune-cache).
+    const LargeCircuitOptions large{.target_gates = std::size_t(profile.num_gates),
+                                    .seed = circuit_seed};
+    const Network src = iter % 4 == 3 ? make_large_circuit(large)
+                                      : random_network(circuit_seed, profile);
     const OptMode mode = mode_for_iteration(iter);
     const char* mode_name = to_string(mode);
     const std::uint64_t flow_seed = options.seed + static_cast<std::uint64_t>(iter);
 
     const std::string failure = run_experiment(src, mode, flow_seed, options.threads,
-                                               options.sat_crosscheck,
-                                               options.paranoid_diff,
-                                               options.extract_diff,
-                                               options.timing_damp_diff);
+                                               options.sat_crosscheck, all_rows);
     if (failure.empty()) {
       log << "[fuzz] iter " << iter << " mode " << mode_name << " ("
           << src.num_logic_gates() << " gates): ok\n";
@@ -271,18 +292,21 @@ FuzzResult run_fuzz(const FuzzOptions& options, std::ostream& log) {
     f.detail = failure;
     log << "[fuzz] iter " << iter << " mode " << mode_name << " FAILED: " << failure
         << "\n";
+    // Shrinking re-runs only the failing row; any other kind is a fault of
+    // the reference run itself, which needs no row.
+    const auto row = std::find_if(all_rows.begin(), all_rows.end(),
+                                  [&f](const ExactnessOracle& r) { return r.name == f.kind; });
+    std::vector<ExactnessOracle> failing_rows;
+    if (row != all_rows.end()) failing_rows.push_back(*row);
 
     Network minimal = src.clone();
     if (options.shrink) {
       // Chase the SAME failure kind: a degenerate candidate that fails for
       // an unrelated reason (e.g. a mapper exception) must not be accepted.
       const auto still_fails = [&](const Network& candidate) {
-        const std::string err = run_experiment(candidate, mode, flow_seed,
-                                               options.threads, options.sat_crosscheck,
-                                               options.paranoid_diff,
-                                               options.extract_diff,
-                                               options.timing_damp_diff);
-        return !err.empty() && err.compare(0, f.kind.size(), f.kind) == 0;
+        const std::string err = run_experiment(candidate, mode, flow_seed, options.threads,
+                                               options.sat_crosscheck, failing_rows);
+        return !err.empty() && err.compare(0, f.kind.size() + 1, f.kind + ":") == 0;
       };
       minimal = shrink_network(src, still_fails, options.shrink_budget);
       log << "[fuzz]   shrunk " << src.num_gates() << " -> " << minimal.num_gates()
@@ -294,7 +318,7 @@ FuzzResult run_fuzz(const FuzzOptions& options, std::ostream& log) {
       const std::string stem = options.repro_dir + "/fuzz_" +
                                std::to_string(options.seed) + "_iter" +
                                std::to_string(iter);
-      write_blif_file(minimal, stem + ".blif", "fuzz_repro");
+      write_bench_file(minimal, stem + ".bench");
       std::ofstream txt(stem + ".txt");
       txt << "fuzz failure\n"
           << "  kind:         " << f.kind << "\n"
@@ -302,35 +326,21 @@ FuzzResult run_fuzz(const FuzzOptions& options, std::ostream& log) {
           << "  mode:         " << f.mode << "\n"
           << "  harness seed: " << options.seed << " (iteration " << iter << ")\n"
           << "  circuit seed: " << circuit_seed << "\n"
-          << "  flow seed:    " << flow_seed << "\n"
-          << "  threads:      1 vs " << options.threads << "\n";
+          << "  flow seed:    " << flow_seed << "\n";
       // The harness runs the flow with effort=1 / 2 optimizer iterations
       // (see run_experiment); the repro command must pin both or the CLI
       // defaults run a different schedule and the bug may not reproduce.
-      const std::string base = "rapids flow " + stem + ".blif --mode " + f.mode +
+      // The second command runs the failing row's configuration (the
+      // reference itself for any other kind), SAT-verified.
+      const std::string base = "rapids flow " + stem + ".bench --mode " + f.mode +
                                " --seed " + std::to_string(flow_seed) +
                                " --effort 1 --iters 2";
-      if (f.kind == "determinism") {
-        txt << "repro: " << base << " --threads 1 --out " << stem << "_t1.blif\n"
-            << "       " << base << " --threads " << options.threads << " --out "
-            << stem << "_tN.blif\n"
-            << "       cmp " << stem << "_t1.blif " << stem << "_tN.blif\n";
-      } else if (f.kind == "timing-damp" || f.kind == "timing-damp-diff") {
-        txt << "repro: " << base << " --threads 1 --timing-damp-diff --out "
-            << stem << "_damp.blif\n"
-            << "       " << base << " --threads 1 --no-timing-damp --out "
-            << stem << "_full.blif\n"
-            << "       cmp " << stem << "_damp.blif " << stem << "_full.blif\n";
-      } else if (f.kind == "extract-diff" || f.kind == "extract-parity") {
-        txt << "repro: " << base << " --extract-diff --threads 1 --out " << stem
-            << "_inc.blif\n"
-            << "       " << base << " --no-incremental --threads 1 --out " << stem
-            << "_full.blif\n"
-            << "       cmp " << stem << "_inc.blif " << stem << "_full.blif\n";
-      } else {
-        txt << "repro: " << base << " --sat-verify --threads 1\n";
-      }
-      f.repro_path = stem + ".blif";
+      const std::string flags =
+          row == all_rows.end() ? "" : " " + row->flags_for(options.threads);
+      txt << "repro: " << base << " --out " << stem << "_ref.blif\n"
+          << "       " << base << flags << " --sat-verify --out " << stem << "_row.blif\n"
+          << "       cmp " << stem << "_ref.blif " << stem << "_row.blif\n";
+      f.repro_path = stem + ".bench";
       log << "[fuzz]   reproducer written to " << f.repro_path << "\n";
     }
     result.failures.push_back(std::move(f));

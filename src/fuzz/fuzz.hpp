@@ -1,58 +1,74 @@
-// Differential fuzzing harness for the whole rewiring flow.
+// Differential fuzzing harness for the whole rewiring flow, and the
+// exactness-oracle table it shares with the flow tests: every A/B lever
+// is one row of exactness_oracles(), and check_exactness() requires each
+// row to reproduce the reference run (threads=1, defaults) exactly.
 //
-// Each iteration generates a random mapped+placed circuit (src/gen), runs
-// the full optimize flow under a drawn mode at --threads 1 and --threads N,
-// and cross-checks the results two ways:
-//
-//   determinism — the two netlists must be byte-identical as BLIF (the
-//                 parallel scheduler's core contract);
-//   equivalence — the optimized netlist must match the mapped input, with
-//                 the SAT proof tier on top of random vectors.
+// Each fuzz iteration generates a random mapped+placed circuit (src/gen),
+// runs check_exactness under a drawn mode, and checks the reference
+// netlist against the mapped input (random vectors plus the SAT proof
+// tier) and the structural validator.
 //
 // A failing iteration is shrunk to a minimal reproducer: primary outputs
 // are dropped and gates bypassed greedily while the failure keeps
-// reproducing, and the minimized circuit is written to disk as BLIF next
-// to a text file describing the failure and the exact seeds. Fixed seeds
-// make every run — including the CI smoke run — reproducible.
+// reproducing. The minimized circuit is written to disk as .bench (the
+// harness runs every circuit as read back from that format) next to a
+// text file with the failure, the seeds and the `rapids flow` commands
+// that show it. Fixed seeds make every run reproducible.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "netlist/network.hpp"
+#include "flow/flow.hpp"
 
 namespace rapids {
+
+/// One A/B lever: a flow configuration that must reproduce the reference.
+struct ExactnessOracle {
+  std::string name;   // also the failure kind check_exactness reports
+  std::string flags;  // the `rapids flow` flags selecting it; N = workers
+  std::function<void(OptimizerOptions&, int threads)> apply;
+
+  /// `flags` with N replaced by `threads`.
+  std::string flags_for(int threads) const;
+};
+
+/// Every row.
+std::vector<ExactnessOracle> exactness_oracles();
+/// The named rows, in the given order; an unknown name throws.
+std::vector<ExactnessOracle> exactness_oracles(std::initializer_list<std::string_view> names);
+
+/// Sees the reference run (row == nullptr) and then each row's run.
+using ExactnessObserver =
+    std::function<void(const ExactnessOracle* row, const ModeRun& run)>;
+
+/// Run the reference flow (`base` at threads=1) and then each row, with
+/// `threads` workers where a row says N. Each row's BLIF, final delay and
+/// swap/resize counts must equal the reference's, and it must verify when
+/// `base.verify` is set. Paranoid runs with an inconclusive proof verdict
+/// skip the netlist checks, and the per-move prover's verdicts must match
+/// the session prover's move for move. Returns "" on success, else
+/// "<row>: detail" for the first failure; a self-check throw in a row is
+/// that row's failure. An exception in the reference run propagates.
+std::string check_exactness(const PreparedCircuit& prepared, const CellLibrary& lib,
+                            OptMode mode, const FlowOptions& base, int threads,
+                            const std::vector<ExactnessOracle>& rows = exactness_oracles(),
+                            const ExactnessObserver& observe = {});
 
 struct FuzzOptions {
   std::uint64_t seed = 1;
   int iterations = 25;
-  /// Worker count for the parallel differential run (compared to 1).
+  /// Worker count of the rows that run on N threads.
   int threads = 3;
   int max_inputs = 16;
   int max_gates = 140;
   /// Escalate equivalence to a SAT proof (random vectors always run).
   bool sat_crosscheck = true;
-  /// Paranoid prover differential: additionally run the serial flow with
-  /// --paranoid in incremental-session mode AND per-move-solver mode, and
-  /// require byte-identical netlists plus move-for-move identical proof
-  /// verdicts between the two (and against the plain run's netlist).
-  bool paranoid_diff = false;
-  /// Incremental-extraction differential: run the flows with the engine's
-  /// extract-diff self-check armed (incremental partition cross-checked
-  /// against a fresh full extraction after EVERY committed move), and
-  /// additionally require the incremental flow's netlist to be
-  /// byte-identical to a full-rebuild-per-commit flow. Failures shrink to
-  /// minimal reproducers like every other kind.
-  bool extract_diff = false;
-  /// Timing-damping differential: run the flows with the Sta's damp-diff
-  /// self-check armed (every damped probe propagation replayed undamped,
-  /// per-probe PO-arrival equality asserted), and additionally require the
-  /// damped flow's netlist and final delay to be byte-identical to a
-  /// `--no-timing-damp` full-cone flow.
-  bool timing_damp_diff = false;
   /// Shrink failing circuits to minimal reproducers.
   bool shrink = true;
   /// Budget for the shrinker, in flow re-runs per failure.
@@ -66,9 +82,9 @@ struct FuzzFailure {
   int iteration = 0;
   std::uint64_t circuit_seed = 0;
   std::string mode;        // optimizer mode under test
-  std::string kind;  // "equivalence" | "determinism" | ...
+  std::string kind;        // an oracle row name, "equivalence", "structure", ...
   std::string detail;
-  std::string repro_path;  // minimized BLIF (empty if not written)
+  std::string repro_path;  // minimized .bench circuit (empty if not written)
 };
 
 struct FuzzResult {

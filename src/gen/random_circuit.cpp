@@ -66,7 +66,10 @@ RandomCircuitOptions random_fuzz_profile(std::uint64_t seed, std::uint64_t iter,
   RandomCircuitOptions opt;
   opt.num_inputs = rng.next_int(3, std::max(3, max_inputs));
   opt.num_gates = rng.next_int(8, std::max(8, max_gates));
-  opt.num_outputs = rng.next_int(1, 8);
+  // random_network keeps only the output cones, so a circuit with a few
+  // outputs drawn over many gates shrinks to a fraction of its draw: one
+  // output per four gates keeps most of it.
+  opt.num_outputs = rng.next_int(1, std::max(1, opt.num_gates / 4));
   opt.max_fanin = rng.next_int(2, 4);
   switch (rng.next_below(4)) {
     case 0:  // uniform

@@ -206,12 +206,13 @@ class Optimizer {
     // Phase wall clock. Everything except sync and margins (subsets of
     // probe) sums to time.optimize_s. Whatever is left is loop overhead —
     // warn when it stops being noise, because an unattributed phase is
-    // exactly what this breakdown exists to prevent.
+    // exactly what this breakdown exists to prevent. Noise means under 5%
+    // or under 1 ms: a sub-millisecond optimize is all fixed overhead.
     const double attributed = seconds_setup_ + seconds_groups_ + sched.seconds_probe +
                               sched.seconds_arbitrate + sched.seconds_commit +
                               seconds_finalize_;
     const double unattributed = std::max(0.0, result.seconds - attributed);
-    if (result.seconds > 0.0 && unattributed > 0.05 * result.seconds) {
+    if (unattributed > 0.05 * result.seconds && unattributed > 1e-3) {
       log_warn() << "phase accounting: " << unattributed << " s of " << result.seconds
                  << " s optimize time unattributed (> 5%) — a phase is "
                     "missing a timer";

@@ -269,12 +269,20 @@ void ProofSession::keep() {
   // stale — displace them and adopt the post-move window. Entries the move
   // never re-reached (a subtree the rewiring cut away from the root) are
   // displaced too: their literals still reference re-encoded gates' OLD
-  // functions.
+  // functions. A displaced bare cut variable is tied to the gate's
+  // pre-move encoding first, or literals built over it (an inverter past
+  // the root aliases its complement) float free of the gate's new one.
   for (const GateId g : affected_) {
-    if (cache_.count(g) > 0) {
-      erase_entry(g);
-      ++stats_.entries_invalidated;
+    const auto it = cache_.find(g);
+    if (it == cache_.end()) continue;
+    if (free_vars_.contains(g)) {
+      if (const auto pre = pre_overlay_.find(g); pre != pre_overlay_.end()) {
+        solver_->add_clause(~it->second, pre->second);
+        solver_->add_clause(it->second, ~pre->second);
+      }
     }
+    erase_entry(g);
+    ++stats_.entries_invalidated;
   }
   for (const auto& [g, l] : post_overlay_) cache_[g] = l;
   enc_->commit_group();

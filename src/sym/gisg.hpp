@@ -223,7 +223,7 @@ struct GisgRegionScratch {
 /// those regions, and splices the new supergates into recycled slots.
 /// Untouched slots keep their generation. The result is canonically
 /// identical to a fresh extract_gisg of the current network (asserted by
-/// tests and the fuzzer's --extract-diff mode).
+/// tests and the fuzzer's extract-diff row).
 ///
 /// Precondition: no gate covered by `part` has been deleted (gate deletion
 /// — e.g. remove_dangling_inverters — requires a full rebuild).

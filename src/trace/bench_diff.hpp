@@ -12,8 +12,7 @@
 // nonzero (new keys / removed keys are reported but never fail — bench
 // schemas grow).
 //
-// Used by both the standalone tools/bench_diff binary and `rapids
-// bench-diff`.
+// Used by `rapids bench-diff`.
 #pragma once
 
 #include <iosfwd>

@@ -11,6 +11,7 @@
 
 #include "engine/rewire_engine.hpp"
 #include "flow/flow.hpp"
+#include "fuzz/fuzz.hpp"
 #include "gen/large.hpp"
 #include "io/blif_writer.hpp"
 #include "parallel/probe_context.hpp"
@@ -172,22 +173,18 @@ TEST(DeltaSyncFlowSlow, ThreadCountsBitIdenticalOnGeneratedCircuit) {
   base.opt.max_iterations = 2;
   base.verify = false;
   const PreparedCircuit prepared = prepare_circuit("gen1200", src, lib035(), base);
-
-  FlowOptions serial = base;
-  serial.opt.threads = 1;
-  FlowOptions parallel = base;
-  parallel.opt.threads = 4;
-  const ModeRun one = run_mode(prepared, lib035(), OptMode::Gsg, serial);
-  const ModeRun four = run_mode(prepared, lib035(), OptMode::Gsg, parallel);
-  EXPECT_EQ(one.result.final_delay, four.result.final_delay);
-  EXPECT_EQ(one.result.swaps_committed, four.result.swaps_committed);
-  EXPECT_EQ(blif_of(one.optimized), blif_of(four.optimized));
-  // threads=1 probes the live engine and never syncs; threads=4 must have
-  // ridden the delta path.
-  EXPECT_EQ(one.result.metrics.counter("sync.delta_syncs") +
-                one.result.metrics.counter("sync.full_syncs"),
-            0u);
-  EXPECT_GT(four.result.metrics.counter("sync.delta_syncs"), 0u);
+  const std::string failure = check_exactness(
+      prepared, lib035(), OptMode::Gsg, base, 4, exactness_oracles({"threads"}),
+      [](const ExactnessOracle* row, const ModeRun& run) {
+        const MetricsRegistry& m = run.result.metrics;
+        if (row == nullptr) {
+          // threads=1 probes the live engine and never syncs.
+          EXPECT_EQ(m.counter("sync.delta_syncs") + m.counter("sync.full_syncs"), 0u);
+        } else {
+          EXPECT_GT(m.counter("sync.delta_syncs"), 0u);  // threads=4 rode the delta path
+        }
+      });
+  EXPECT_EQ(failure, "");
 }
 
 TEST(DeltaSyncFlowSlow, DeltaOnOffProduceIdenticalNetlists) {
@@ -201,20 +198,23 @@ TEST(DeltaSyncFlowSlow, DeltaOnOffProduceIdenticalNetlists) {
   base.placer.effort = 1.0;
   base.placer.num_temps = 4;
   base.opt.max_iterations = 2;
-  base.opt.threads = 4;
   base.verify = false;
   const PreparedCircuit prepared = prepare_circuit("gen800", src, lib035(), base);
 
-  FlowOptions with_delta = base;
-  with_delta.opt.delta_replica_sync = true;
-  FlowOptions without = base;
-  without.opt.delta_replica_sync = false;
-  const ModeRun on = run_mode(prepared, lib035(), OptMode::Gsg, with_delta);
-  const ModeRun off = run_mode(prepared, lib035(), OptMode::Gsg, without);
-  EXPECT_EQ(on.result.final_delay, off.result.final_delay);
-  EXPECT_EQ(blif_of(on.optimized), blif_of(off.optimized));
-  EXPECT_GT(on.result.metrics.counter("sync.delta_syncs"), 0u);
-  EXPECT_EQ(off.result.metrics.counter("sync.delta_syncs"), 0u);
+  // threads=4 with delta sync on, and with the full-clone path.
+  const std::string failure = check_exactness(
+      prepared, lib035(), OptMode::Gsg, base, 4,
+      exactness_oracles({"threads", "clone-sync"}),
+      [](const ExactnessOracle* row, const ModeRun& run) {
+        if (row == nullptr) return;
+        const std::uint64_t delta_syncs = run.result.metrics.counter("sync.delta_syncs");
+        if (row->name == "threads") {
+          EXPECT_GT(delta_syncs, 0u);
+        } else {
+          EXPECT_EQ(delta_syncs, 0u);
+        }
+      });
+  EXPECT_EQ(failure, "");
 }
 
 TEST(DeltaSyncFlowSlow, PruneCacheOnOffProduceIdenticalNetlists) {
@@ -226,15 +226,9 @@ TEST(DeltaSyncFlowSlow, PruneCacheOnOffProduceIdenticalNetlists) {
   base.opt.max_iterations = 3;
   base.verify = false;
   const PreparedCircuit prepared = prepare_circuit("prune", src, lib035(), base);
-
-  FlowOptions cached = base;
-  cached.opt.prune_cache = true;
-  FlowOptions uncached = base;
-  uncached.opt.prune_cache = false;
-  const ModeRun on = run_mode(prepared, lib035(), OptMode::GsgPlusGS, cached);
-  const ModeRun off = run_mode(prepared, lib035(), OptMode::GsgPlusGS, uncached);
-  EXPECT_EQ(on.result.final_delay, off.result.final_delay);
-  EXPECT_EQ(blif_of(on.optimized), blif_of(off.optimized));
+  EXPECT_EQ(check_exactness(prepared, lib035(), OptMode::GsgPlusGS, base, 1,
+                            exactness_oracles({"no-prune-cache"})),
+            "");
 }
 
 }  // namespace

@@ -10,11 +10,13 @@
 #include <vector>
 
 #include "flow/flow.hpp"
+#include "netlist/builder.hpp"
 #include "parallel/scheduler.hpp"
 #include "session/session.hpp"
 #include "test_helpers.hpp"
 #include "trace/metrics.hpp"
 #include "util/json_lite.hpp"
+#include "util/log.hpp"
 
 namespace rapids {
 namespace {
@@ -116,6 +118,30 @@ void expect_fields_registered(const MetricsRegistry& reg, const char* what) {
         << what << ": " << field.name;
   });
   EXPECT_GT(fields, 0) << what;
+}
+
+TEST(Metrics, TinyFlowLogsNoPhaseAccountingWarning) {
+  // A sub-millisecond optimize is all fixed overhead: its unattributed
+  // share passes 5% with no phase missing a timer, so the warning also
+  // needs 1 ms unattributed. The gauge is written either way.
+  NetworkBuilder b;
+  b.output("f", b.and_({b.input("x"), b.input("y")}));
+  Logger& logger = Logger::instance();
+  const LogLevel old_level = logger.level();
+  std::vector<std::string> warnings;
+  const Logger::Sink old_sink =
+      logger.set_sink([&warnings](LogLevel, const std::string& m) { warnings.push_back(m); });
+  logger.set_level(LogLevel::Warning);
+  const ModeRun run = run_mode(prepare_circuit("one_gate", b.take(), lib035()), lib035(),
+                               OptMode::GsgPlusGS);
+  logger.set_level(old_level);
+  logger.set_sink(old_sink);  // the one process logger: restore stderr
+
+  EXPECT_TRUE(run.verified);
+  EXPECT_TRUE(run.result.metrics.has_gauge("time.unattributed_s"));
+  for (const std::string& w : warnings) {
+    EXPECT_EQ(w.find("phase accounting"), std::string::npos) << w;
+  }
 }
 
 TEST(Metrics, EveryNamedFieldReachesTheRegistry) {

@@ -16,6 +16,7 @@
 
 #include "engine/rewire_engine.hpp"
 #include "flow/flow.hpp"
+#include "fuzz/fuzz.hpp"
 #include "gen/large.hpp"
 #include "io/blif_writer.hpp"
 #include "netlist/builder.hpp"
@@ -492,25 +493,17 @@ TEST(ProbeContextSync, SyncCountersAreExactOnHandCountedTrace) {
 
 TEST(SchedulerDeterminism, ThreadCountsProduceIdenticalNetlists) {
   // The headline guarantee on real circuits, end to end through the flow:
-  // identical BLIF output and final delay for 1 vs 8 workers.
+  // identical verified BLIF output and final delay for 1 vs 8 workers.
   FlowOptions base;
   base.placer.effort = 1.0;
   base.placer.num_temps = 4;
   base.opt.max_iterations = 2;
   for (const char* name : {"alu2", "c432", "c499"}) {
     const PreparedCircuit prepared = prepare_benchmark(name, lib035(), base);
-    FlowOptions serial = base;
-    serial.opt.threads = 1;
-    FlowOptions parallel = base;
-    parallel.opt.threads = 8;
-    const ModeRun one = run_mode(prepared, lib035(), OptMode::GsgPlusGS, serial);
-    const ModeRun eight = run_mode(prepared, lib035(), OptMode::GsgPlusGS, parallel);
-    EXPECT_TRUE(one.verified) << name;
-    EXPECT_TRUE(eight.verified) << name;
-    EXPECT_EQ(one.result.final_delay, eight.result.final_delay) << name;
-    EXPECT_EQ(one.result.swaps_committed, eight.result.swaps_committed) << name;
-    EXPECT_EQ(one.result.resizes_committed, eight.result.resizes_committed) << name;
-    EXPECT_EQ(blif_of(one.optimized), blif_of(eight.optimized)) << name;
+    EXPECT_EQ(check_exactness(prepared, lib035(), OptMode::GsgPlusGS, base, 8,
+                              exactness_oracles({"threads"})),
+              "")
+        << name;
   }
 }
 

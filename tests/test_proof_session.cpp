@@ -16,6 +16,7 @@
 #include "netlist/builder.hpp"
 #include "place/placer.hpp"
 #include "sat/proof_session.hpp"
+#include "sat/window.hpp"
 #include "sym/symmetry.hpp"
 #include "test_helpers.hpp"
 #include "verify/equivalence.hpp"
@@ -278,6 +279,56 @@ TEST(ProofSessionFaultInjection, RecycledGateIdsAreInvalidated) {
   net.set_fanin(Pin{g, 0}, x);
   net.delete_gate(i3);
   session.abandon();
+}
+
+TEST(ProofSession, DisplacedCutVariableStaysBoundToItsGate) {
+  // An inverter past a kept window's root aliases the complement of the
+  // root's cut variable. Displacing that variable unbound left the two
+  // uncorrelated, so a later window reading both refuted a move the
+  // per-move prover proves (the fuzzer's per-move-prover row caught it).
+  NetworkBuilder b;
+  const GateId a = b.input("a"), x = b.input("b"), c = b.input("c");
+  const GateId e = b.input("e"), w = b.input("w"), w2 = b.input("w2");
+  const GateId g1 = b.and_({a, x});
+  const GateId r = b.and_({g1, c});
+  const GateId inv = b.inv(r);
+  const GateId t = b.and_({inv, e});
+  const GateId z = b.or_({inv, r, w});  // inv | r: constant 1
+  b.output("t", t);
+  b.output("z", z);
+  b.output("w2o", b.buf(w2));
+  Network net = b.take();
+
+  ProofSession session;
+  sat::WindowChecker per_move;
+  // Move 1 (kept): swap t's symmetric pins. t's window reads the inverter
+  // as boundary: r gets a bare cut variable, the inverter its complement.
+  const GateId changed_t[] = {t};
+  session.begin(net, {&t, 1}, changed_t);
+  net.set_fanin(Pin{t, 0}, e);
+  net.set_fanin(Pin{t, 1}, inv);
+  ASSERT_TRUE(session.check(net, {}));
+  session.keep();
+
+  // Move 2 (kept): reassociate r = (a & b) & c into (a & c) & b. Proved by
+  // SAT, so r's post-move literal differs from its cut variable.
+  const GateId changed_r[] = {g1, r};
+  session.begin(net, {&r, 1}, changed_r);
+  net.set_fanin(Pin{g1, 1}, c);
+  net.set_fanin(Pin{r, 1}, x);
+  ASSERT_TRUE(session.check(net, {}));
+  session.keep();
+
+  // Move 3: rewire z's third pin. z = inv | r | anything stays 1, which
+  // holds only while inv and r read as complements.
+  const GateId changed_z[] = {z};
+  session.begin(net, {&z, 1}, changed_z);
+  per_move.begin(net, {&z, 1}, changed_z);
+  net.set_fanin(Pin{z, 2}, w2);
+  EXPECT_TRUE(per_move.check(net, {}));
+  std::string diag;
+  EXPECT_TRUE(session.check(net, {}, &diag)) << diag;
+  session.keep();
 }
 
 // --- engine-level differential ----------------------------------------------

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "flow/flow.hpp"
+#include "fuzz/fuzz.hpp"
 #include "gen/large.hpp"
 #include "io/blif_writer.hpp"
 #include "netlist/builder.hpp"
@@ -258,41 +259,40 @@ std::string blif_of(const Network& net) {
   return os.str();
 }
 
-ModeRun run_damp_config(const PreparedCircuit& prepared, const FlowOptions& base,
-                        int threads, bool damp, bool diff = false) {
-  FlowOptions o = base;
-  o.opt.threads = threads;
-  o.opt.timing_damp = damp;
-  o.opt.timing_damp_diff = diff;
-  return run_mode(prepared, lib035(), OptMode::GsgPlusGS, o);
-}
-
 void expect_damp_identity(const char* name, const PreparedCircuit& prepared,
                           const FlowOptions& base) {
-  const ModeRun ref = run_damp_config(prepared, base, 1, /*damp=*/false);
-  const std::string ref_blif = blif_of(ref.optimized);
+  // The oracle rows: threads=4 damped, threads=1 undamped, and the
+  // per-probe damp-diff self-check flow-wide, each against the damped
+  // threads=1 reference.
+  std::string ref_blif;
+  OptimizerResult ref;
+  const std::string failure = check_exactness(
+      prepared, lib035(), OptMode::GsgPlusGS, base, 4,
+      exactness_oracles({"threads", "undamped", "damp-diff"}),
+      [&](const ExactnessOracle* row, const ModeRun& run) {
+        if (row == nullptr) {
+          ref_blif = blif_of(run.optimized);
+          ref = run.result;
+        } else if (row->name == "undamped") {
+          EXPECT_EQ(run.result.metrics.counter("timing.damp_cutoffs"), 0u) << name;
+          EXPECT_EQ(run.result.metrics.counter("timing.margin_refreshes"), 0u) << name;
+        }
+      });
+  EXPECT_EQ(failure, "") << name;
   ASSERT_FALSE(ref_blif.empty()) << name;
-  EXPECT_EQ(ref.result.metrics.counter("timing.damp_cutoffs"), 0u) << name;
-  for (const int threads : {1, 4}) {
-    for (const bool damp : {false, true}) {
-      if (threads == 1 && !damp) continue;  // the reference itself
-      const ModeRun r = run_damp_config(prepared, base, threads, damp);
-      const std::string cfg = std::string(name) + " threads=" +
-                              std::to_string(threads) +
-                              (damp ? " damp" : " nodamp");
-      EXPECT_EQ(ref_blif, blif_of(r.optimized)) << cfg;
-      EXPECT_EQ(ref.result.final_delay, r.result.final_delay) << cfg;
-      EXPECT_EQ(ref.result.swaps_committed, r.result.swaps_committed) << cfg;
-      EXPECT_EQ(ref.result.resizes_committed, r.result.resizes_committed) << cfg;
-      if (!damp) {
-        EXPECT_EQ(r.result.metrics.counter("timing.damp_cutoffs"), 0u) << cfg;
-        EXPECT_EQ(r.result.metrics.counter("timing.margin_refreshes"), 0u) << cfg;
-      }
-    }
-  }
-  // The per-probe differential self-check must also hold flow-wide.
-  const ModeRun diff = run_damp_config(prepared, base, 1, true, /*diff=*/true);
-  EXPECT_EQ(ref_blif, blif_of(diff.optimized)) << name << " damp-diff";
+
+  // threads=4 undamped is not a table row.
+  FlowOptions o = base;
+  o.opt.threads = 4;
+  o.opt.timing_damp = false;
+  const ModeRun r = run_mode(prepared, lib035(), OptMode::GsgPlusGS, o);
+  const std::string cfg = std::string(name) + " threads=4 nodamp";
+  EXPECT_EQ(ref_blif, blif_of(r.optimized)) << cfg;
+  EXPECT_EQ(ref.final_delay, r.result.final_delay) << cfg;
+  EXPECT_EQ(ref.swaps_committed, r.result.swaps_committed) << cfg;
+  EXPECT_EQ(ref.resizes_committed, r.result.resizes_committed) << cfg;
+  EXPECT_EQ(r.result.metrics.counter("timing.damp_cutoffs"), 0u) << cfg;
+  EXPECT_EQ(r.result.metrics.counter("timing.margin_refreshes"), 0u) << cfg;
 }
 
 TEST(TimingDampFlow, DampOnOffThreadsBitIdenticalOnSmallBenchmarks) {

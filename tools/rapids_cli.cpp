@@ -4,7 +4,7 @@
 //          [--mode gsg|gs|gsg+gs]
 //          [--seed N] [--effort F] [--iters N] [--threads N] [--buffers]
 //          [--out out.blif] [--place-out placement.txt] [--no-verify]
-//          [--sat-verify] [--paranoid] [--sat-session|--no-sat-session]
+//          [--sat-verify] [--paranoid] [--no-sat-session]
 //          [--no-incremental] [--extract-diff] [--no-delta-sync]
 //          [--no-prune-cache] [--no-timing-damp] [--timing-damp-diff]
 //          [--trace out.json] [--metrics-json out.json]
@@ -28,7 +28,8 @@
 //       full fanout cone instead of stopping at the slack-margin cutoff.
 //       All are A/B levers: same netlist. --timing-damp-diff replays every
 //       damped probe undamped and aborts if any PO arrival moves
-//       (self-check).
+//       (self-check). Each lever is one row of the exactness-oracle table
+//       in src/fuzz/fuzz.hpp, which `rapids fuzz` runs on every circuit.
 //       --trace writes a Chrome trace-event JSON of the run (one track per
 //       probe worker; load in Perfetto or chrome://tracing), --metrics-json
 //       a machine-readable counter/gauge/histogram snapshot, --provenance
@@ -62,19 +63,15 @@
 //       (used by CI's trace-smoke job); prints span categories and tracks.
 //
 //   rapids fuzz [--seed N] [--iters N] [--threads N] [--max-gates N]
-//          [--max-inputs N] [--no-sat] [--paranoid-diff] [--extract-diff]
-//          [--timing-damp-diff] [--no-shrink] [--out-dir DIR]
-//       Differential fuzzing: random circuits through the full flow at
-//       --threads 1 vs N and across optimizer modes, cross-checked by
-//       random vectors + SAT. --paranoid-diff additionally cross-checks
-//       the incremental proof session against the per-move solver,
-//       move-for-move; --extract-diff cross-checks incremental partition
-//       maintenance against full re-extraction after every committed move
-//       (partition canonical equality + netlist parity);
-//       --timing-damp-diff cross-checks slack-margin damped propagation
-//       against full-cone propagation (per-probe PO-arrival equality plus
-//       whole-flow netlist parity). Failures shrink to minimal
-//       reproducers.
+//          [--max-inputs N] [--no-sat] [--no-shrink] [--out-dir DIR]
+//       Differential fuzzing: each random circuit (every fourth from the
+//       gen: profile) runs the reference flow (--threads 1, defaults) and
+//       every row of the exactness-oracle table (thread count, clone
+//       sync, full extraction, extract-diff, undamped timing, damp-diff,
+//       no prune cache, both paranoid provers), all of which must write
+//       the reference's BLIF; the reference netlist is cross-checked
+//       against the input by random vectors + SAT. Failures shrink to
+//       minimal .bench reproducers.
 //
 //   rapids symmetry <circuit|file.blif|file.bench>
 //       Supergate / symmetry / redundancy report for a mapped circuit.
@@ -193,8 +190,6 @@ int cmd_flow(const std::vector<std::string>& args) {
       options.verify_sat = true;
     } else if (a == "--paranoid") {
       options.opt.paranoid = true;
-    } else if (a == "--sat-session") {
-      options.opt.sat_session = true;  // the default; kept as an explicit flag
     } else if (a == "--no-sat-session") {
       options.opt.sat_session = false;
     } else if (a == "--no-incremental") {
@@ -537,12 +532,6 @@ int cmd_fuzz(const std::vector<std::string>& args) {
       options.max_inputs = std::stoi(next());
     } else if (a == "--no-sat") {
       options.sat_crosscheck = false;
-    } else if (a == "--paranoid-diff") {
-      options.paranoid_diff = true;
-    } else if (a == "--extract-diff") {
-      options.extract_diff = true;
-    } else if (a == "--timing-damp-diff") {
-      options.timing_damp_diff = true;
     } else if (a == "--no-shrink") {
       options.shrink = false;
     } else if (a == "--out-dir") {
