@@ -134,9 +134,7 @@ FlowPoint run_flow(const PreparedCircuit& prepared, const CellLibrary& lib,
   pt.metrics = run.result.metrics;
   pt.moves = run.result.swaps_committed + run.result.resizes_committed;
   pt.final_delay = run.result.final_delay;
-  std::ostringstream os;
-  write_blif(run.optimized, os, "bench");
-  pt.blif = os.str();
+  pt.blif = blif_text(run.optimized, "bench");
   return pt;
 }
 

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <optional>
+#include <sstream>
 #include <utility>
 
 #include "gen/large.hpp"
@@ -90,6 +92,50 @@ Network load_circuit(const std::string& spec) {
     return make_large_circuit(lopt);
   }
   return make_benchmark(spec);
+}
+
+bool parse_optimizer_flag(const std::vector<std::string>& args, std::size_t& i,
+                          OptimizerOptions& opt) {
+  const std::string& a = args[i];
+  const auto next_int = [&]() {
+    if (i + 1 >= args.size()) throw InputError("missing value after " + a);
+    return std::stoi(args[++i]);
+  };
+  if (a == "--threads") {
+    opt.threads = next_int();
+    if (opt.threads < 1) throw InputError("--threads must be >= 1");
+  } else if (a == "--iters") {
+    opt.max_iterations = next_int();
+  } else if (a == "--paranoid") {
+    opt.paranoid = true;
+  } else if (a == "--no-sat-session") {
+    opt.sat_session = false;
+  } else if (a == "--no-incremental") {
+    opt.incremental_extraction = false;
+  } else if (a == "--extract-diff") {
+    opt.extract_diff = true;
+  } else if (a == "--no-delta-sync") {
+    opt.delta_replica_sync = false;
+  } else if (a == "--no-prune-cache") {
+    opt.prune_cache = false;
+  } else if (a == "--no-timing-damp") {
+    opt.timing_damp = false;
+  } else if (a == "--timing-damp-diff") {
+    opt.timing_damp_diff = true;
+  } else {
+    return false;
+  }
+  return true;
+}
+
+void apply_optimizer_flags(const std::string& flags, OptimizerOptions& opt) {
+  std::istringstream in(flags);
+  const std::vector<std::string> args{std::istream_iterator<std::string>(in), {}};
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    if (!parse_optimizer_flag(args, i, opt)) {
+      throw InputError("not an optimizer flag: " + args[i]);
+    }
+  }
 }
 
 PreparedCircuit prepare_benchmark(const std::string& suite_name, const CellLibrary& lib,

@@ -6,8 +6,10 @@
 // placed starting point, exactly as Table 1 compares them.
 #pragma once
 
+#include <cstddef>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "library/cell_library.hpp"
 #include "netlist/network.hpp"
@@ -49,6 +51,16 @@ struct PreparedCircuit {
 /// Read a circuit spec: a .blif or .bench file, gen:<gates>[:seed] (the
 /// synthetic large-circuit profile) or a built-in suite name.
 Network load_circuit(const std::string& spec);
+
+/// If args[i] is a `rapids flow` flag that sets OptimizerOptions (--threads,
+/// --iters, --paranoid and the A/B levers), applies it, steps i past its
+/// value and returns true; otherwise returns false.
+bool parse_optimizer_flag(const std::vector<std::string>& args, std::size_t& i,
+                          OptimizerOptions& opt);
+
+/// Applies optimizer flags ("--threads 4 --no-delta-sync"); any other
+/// token throws InputError.
+void apply_optimizer_flags(const std::string& flags, OptimizerOptions& opt);
 
 /// Generate (by suite name) or adopt a network, then map and place it.
 PreparedCircuit prepare_circuit(const std::string& name, const Network& src,

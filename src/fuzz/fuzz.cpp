@@ -23,12 +23,6 @@ namespace rapids {
 
 namespace {
 
-std::string blif_string(const Network& net) {
-  std::ostringstream os;
-  write_blif(net, os, "fuzz");
-  return os.str();
-}
-
 OptMode mode_for_iteration(int iter) {
   switch (iter % 3) {
     case 0:
@@ -67,7 +61,7 @@ std::string compare_row(const ModeRun& ref, const std::string& ref_blif, const M
   // keeps, so only inconclusive-free runs must match the reference.
   constexpr auto kInconclusive = static_cast<std::uint8_t>(ProofVerdict::Inconclusive);
   if (std::count(verdicts.begin(), verdicts.end(), kInconclusive) > 0) return "";
-  if (blif_string(run.optimized) != ref_blif) return "netlist differs from the reference";
+  if (blif_text(run.optimized) != ref_blif) return "netlist differs from the reference";
   if (run.result.final_delay != ref.result.final_delay) {
     return "final delay " + std::to_string(run.result.final_delay) + " vs reference " +
            std::to_string(ref.result.final_delay);
@@ -125,31 +119,28 @@ std::string run_experiment(const Network& src, OptMode mode, std::uint64_t flow_
 
 }  // namespace
 
-std::string ExactnessOracle::flags_for(int threads) const {
-  std::istringstream in(flags);
-  std::string out, token;
-  while (in >> token) {
-    if (!out.empty()) out += ' ';
-    out += token == "N" ? std::to_string(threads) : token;
-  }
-  return out;
+std::string ExactnessOracle::flow_flags(int threads) const {
+  if (!parallel) return flags;
+  return "--threads " + std::to_string(threads) + (flags.empty() ? "" : " " + flags);
+}
+
+void ExactnessOracle::apply(OptimizerOptions& opt, int threads) const {
+  apply_optimizer_flags(flow_flags(threads), opt);
 }
 
 std::vector<ExactnessOracle> exactness_oracles() {
-  using Opt = OptimizerOptions;
+  // The self-checks run on N workers too, so damp-diff also checks the
+  // probe replicas' damping margins.
   return {
-      {"threads", "--threads N", [](Opt& o, int n) { o.threads = n; }},
-      {"clone-sync", "--threads N --no-delta-sync",
-       [](Opt& o, int n) { o.threads = n; o.delta_replica_sync = false; }},
-      {"full-extraction", "--no-incremental",
-       [](Opt& o, int) { o.incremental_extraction = false; }},
-      {"extract-diff", "--extract-diff", [](Opt& o, int) { o.extract_diff = true; }},
-      {"undamped", "--no-timing-damp", [](Opt& o, int) { o.timing_damp = false; }},
-      {"damp-diff", "--timing-damp-diff", [](Opt& o, int) { o.timing_damp_diff = true; }},
-      {"no-prune-cache", "--no-prune-cache", [](Opt& o, int) { o.prune_cache = false; }},
-      {"paranoid", "--paranoid", [](Opt& o, int) { o.paranoid = true; }},
-      {"per-move-prover", "--paranoid --no-sat-session",
-       [](Opt& o, int) { o.paranoid = true; o.sat_session = false; }},
+      {"threads", true, ""},
+      {"clone-sync", true, "--no-delta-sync"},
+      {"full-extraction", false, "--no-incremental"},
+      {"extract-diff", true, "--extract-diff"},
+      {"undamped", false, "--no-timing-damp"},
+      {"damp-diff", true, "--timing-damp-diff"},
+      {"no-prune-cache", false, "--no-prune-cache"},
+      {"paranoid", false, "--paranoid"},
+      {"per-move-prover", false, "--paranoid --no-sat-session"},
   };
 }
 
@@ -175,7 +166,7 @@ std::string check_exactness(const PreparedCircuit& prepared, const CellLibrary& 
   const ModeRun ref = run_mode(prepared, lib, mode, ref_options);
   if (observe) observe(nullptr, ref);
   if (!ref.verified) return "reference: verification failed";
-  const std::string ref_blif = blif_string(ref.optimized);
+  const std::string ref_blif = blif_text(ref.optimized);
 
   std::optional<std::vector<std::uint8_t>> session_verdicts;  // of the session prover
   for (const ExactnessOracle& row : rows) {
@@ -336,10 +327,19 @@ FuzzResult run_fuzz(const FuzzOptions& options, std::ostream& log) {
                                " --seed " + std::to_string(flow_seed) +
                                " --effort 1 --iters 2";
       const std::string flags =
-          row == all_rows.end() ? "" : " " + row->flags_for(options.threads);
+          row == all_rows.end() ? "" : " " + row->flow_flags(options.threads);
       txt << "repro: " << base << " --out " << stem << "_ref.blif\n"
           << "       " << base << flags << " --sat-verify --out " << stem << "_row.blif\n"
           << "       cmp " << stem << "_ref.blif " << stem << "_row.blif\n";
+      // Both provers keep every move, so cmp cannot show a proof-verdict
+      // mismatch; their provenance dumps list the verdicts in move order.
+      OptimizerOptions row_opt;
+      if (row != all_rows.end()) row->apply(row_opt, options.threads);
+      if (row_opt.paranoid && !row_opt.sat_session) {
+        txt << "verdicts: " << base << " --paranoid --provenance " << stem << "_session.json\n"
+            << "          " << base << flags << " --provenance " << stem << "_row.json\n"
+            << "  (their proof_* events, counted from 0, differ at the move in detail)\n";
+      }
       f.repro_path = stem + ".bench";
       log << "[fuzz]   reproducer written to " << f.repro_path << "\n";
     }

@@ -28,14 +28,16 @@
 
 namespace rapids {
 
-/// One A/B lever: a flow configuration that must reproduce the reference.
+/// One A/B lever: `rapids flow` flags that must reproduce the reference.
+/// The check applies them with the CLI's own parser, so a repro command
+/// runs exactly what the check ran.
 struct ExactnessOracle {
-  std::string name;   // also the failure kind check_exactness reports
-  std::string flags;  // the `rapids flow` flags selecting it; N = workers
-  std::function<void(OptimizerOptions&, int threads)> apply;
+  std::string name;       // also the failure kind check_exactness reports
+  bool parallel = false;  // adds --threads N, the caller's worker count
+  std::string flags;      // the row's other optimizer flags
 
-  /// `flags` with N replaced by `threads`.
-  std::string flags_for(int threads) const;
+  std::string flow_flags(int threads) const;             // all its flags
+  void apply(OptimizerOptions& opt, int threads) const;  // sets them on opt
 };
 
 /// Every row.
@@ -48,7 +50,7 @@ using ExactnessObserver =
     std::function<void(const ExactnessOracle* row, const ModeRun& run)>;
 
 /// Run the reference flow (`base` at threads=1) and then each row, with
-/// `threads` workers where a row says N. Each row's BLIF, final delay and
+/// `threads` workers for the parallel rows. Each row's BLIF, final delay and
 /// swap/resize counts must equal the reference's, and it must verify when
 /// `base.verify` is set. Paranoid runs with an inconclusive proof verdict
 /// skip the netlist checks, and the per-move prover's verdicts must match

@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <ostream>
+#include <sstream>
 
 #include "util/assert.hpp"
 
@@ -100,6 +101,12 @@ void write_blif_file(const Network& net, const std::string& path,
   std::ofstream out(path);
   if (!out) throw InputError("cannot write BLIF file: " + path);
   write_blif(net, out, model_name);
+}
+
+std::string blif_text(const Network& net, const std::string& model_name) {
+  std::ostringstream out;
+  write_blif(net, out, model_name);
+  return out.str();
 }
 
 }  // namespace rapids

@@ -14,5 +14,7 @@ void write_blif(const Network& net, std::ostream& out,
                 const std::string& model_name = "rapids");
 void write_blif_file(const Network& net, const std::string& path,
                      const std::string& model_name = "rapids");
+/// The text write_blif emits: comparing two of these compares netlists.
+std::string blif_text(const Network& net, const std::string& model_name = "rapids");
 
 }  // namespace rapids

@@ -5,7 +5,6 @@
 // circuits and delta-on vs delta-off netlist identity.
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -25,15 +24,9 @@ namespace {
 
 using rapids::testing::lib035;
 
-std::string blif_of(const Network& net) {
-  std::ostringstream os;
-  write_blif(net, os, "delta_sync");
-  return os.str();
-}
-
 /// Assert the two replicas hold byte-identical probe-visible state.
 void expect_replicas_equal(const ProbeContext& delta, const ProbeContext& clone) {
-  EXPECT_EQ(blif_of(delta.replica_net()), blif_of(clone.replica_net()));
+  EXPECT_EQ(blif_text(delta.replica_net()), blif_text(clone.replica_net()));
   EXPECT_EQ(delta.replica_sta().critical_delay(), clone.replica_sta().critical_delay());
   const auto da = delta.replica_sta().arrivals();
   const auto ca = clone.replica_sta().arrivals();
@@ -92,7 +85,7 @@ TEST(DeltaSync, DeltaSyncedReplicaMatchesCloneSyncedAcrossEpochs) {
     ASSERT_TRUE(delta_ctx.synced_to(f.engine.epoch()));
     ASSERT_TRUE(clone_ctx.synced_to(f.engine.epoch()));
     expect_replicas_equal(delta_ctx, clone_ctx);
-    EXPECT_EQ(blif_of(delta_ctx.replica_net()), blif_of(f.net));
+    EXPECT_EQ(blif_text(delta_ctx.replica_net()), blif_text(f.net));
     EXPECT_EQ(delta_ctx.replica_sta().critical_delay(), f.sta.critical_delay());
   }
   ASSERT_GE(commits, 3) << "fixture produced too few committable swaps";
@@ -149,7 +142,7 @@ TEST(DeltaSync, FallsBackToFullSyncAfterOutOfBandRunFull) {
   f.sta.run_full();
   ctx.sync(f.engine);
   ASSERT_TRUE(ctx.synced_to(f.engine.epoch()));
-  EXPECT_EQ(blif_of(ctx.replica_net()), blif_of(f.net));
+  EXPECT_EQ(blif_text(ctx.replica_net()), blif_text(f.net));
   EXPECT_EQ(ctx.replica_sta().critical_delay(), f.sta.critical_delay());
   const ReplicaSyncStats st = ctx.take_sync_stats();
   EXPECT_GE(st.full_syncs, 2u);  // initial sync + post-run_full fallback

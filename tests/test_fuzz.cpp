@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <set>
 #include <sstream>
+#include <tuple>
 
 #include "flow/flow.hpp"
 #include "fuzz/fuzz.hpp"
@@ -73,6 +75,25 @@ TEST(Shrinker, ReturnsInputWhenNothingSmallerFails) {
       50);
   EXPECT_EQ(out.num_gates(), src.num_gates());
   EXPECT_GT(calls, 0);
+}
+
+TEST(ExactnessOracle, EveryRowSelectsItsOwnConfiguration) {
+  // Each row's flags, through the CLI's parser, select a configuration
+  // distinct from the reference and from every other row.
+  const auto key = [](const OptimizerOptions& o) {
+    return std::make_tuple(o.threads, o.paranoid, o.sat_session, o.incremental_extraction,
+                           o.extract_diff, o.delta_replica_sync, o.prune_cache,
+                           o.timing_damp, o.timing_damp_diff);
+  };
+  std::set<decltype(key(OptimizerOptions{}))> seen{key(OptimizerOptions{})};
+  for (const ExactnessOracle& row : exactness_oracles()) {
+    OptimizerOptions opt;
+    row.apply(opt, 3);
+    EXPECT_EQ(opt.threads, row.parallel ? 3 : 1) << row.name;
+    EXPECT_TRUE(seen.insert(key(opt)).second) << row.name;
+  }
+  OptimizerOptions opt;
+  EXPECT_THROW(apply_optimizer_flags("--paranoid --out x.blif", opt), InputError);
 }
 
 TEST(FuzzSlow, ThreadDeterminismRegressionCircuits) {

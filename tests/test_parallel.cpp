@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -290,12 +289,6 @@ TEST(Conflict, UnitWeightsReproduceCountBasedSharding) {
 
 // --- replica probing ---------------------------------------------------------
 
-std::string blif_of(const Network& net) {
-  std::ostringstream os;
-  write_blif(net, os, "determinism");
-  return os.str();
-}
-
 TEST(ProbeContext, ReplicaProbesMatchLiveEngine) {
   Network net = testing::mapped(testing::random_mapped_network(99));
   PlacerOptions popt;
@@ -374,7 +367,7 @@ TEST(ProbeContextSync, RunFullInsideEpochBreaksInSyncWith) {
 
   ctx.sync(f.engine);  // must fall back to the full path and land bit-exact
   EXPECT_TRUE(ctx.in_sync_with(f.engine));
-  EXPECT_EQ(blif_of(ctx.replica_net()), blif_of(f.net));
+  EXPECT_EQ(blif_text(ctx.replica_net()), blif_text(f.net));
   EXPECT_EQ(ctx.replica_sta().critical_delay(), f.sta.critical_delay());
 }
 
@@ -485,7 +478,7 @@ TEST(ProbeContextSync, SyncCountersAreExactOnHandCountedTrace) {
   EXPECT_GT(s.bytes_delta, 0u);
 
   // And the replica is still bit-exact after the whole obstacle course.
-  EXPECT_EQ(blif_of(ctx.replica_net()), blif_of(f.net));
+  EXPECT_EQ(blif_text(ctx.replica_net()), blif_text(f.net));
   EXPECT_EQ(ctx.replica_sta().critical_delay(), f.sta.critical_delay());
 }
 
@@ -517,7 +510,7 @@ TEST(SchedulerDeterminism, RepeatedRunsAreIdentical) {
   opt.opt.max_iterations = 2;
   const ModeRun r1 = run_mode(prepared, lib035(), OptMode::Gsg, opt);
   const ModeRun r2 = run_mode(prepared, lib035(), OptMode::Gsg, opt);
-  EXPECT_EQ(blif_of(r1.optimized), blif_of(r2.optimized));
+  EXPECT_EQ(blif_text(r1.optimized), blif_text(r2.optimized));
   EXPECT_EQ(r1.result.final_delay, r2.result.final_delay);
 }
 
@@ -615,7 +608,7 @@ ThreadRun run_threads(const PreparedCircuit& prepared, const FlowOptions& base,
       out.commits.emplace_back(rec.move_id, rec.gain);
     }
   }
-  out.blif = blif_of(run.optimized);
+  out.blif = blif_text(run.optimized);
   out.final_delay = run.result.final_delay;
   return out;
 }

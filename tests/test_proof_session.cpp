@@ -5,7 +5,6 @@
 // mode must prove the SAME move set, move-for-move.
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -25,12 +24,6 @@ namespace rapids {
 namespace {
 
 using sat::ProofSession;
-
-std::string blif_of(const Network& net) {
-  std::ostringstream os;
-  write_blif(net, os, "t");
-  return os.str();
-}
 
 // --- window protocol --------------------------------------------------------
 
@@ -427,7 +420,7 @@ TEST_P(ParanoidSessionFlowSlow, SessionMatchesPerMoveSolverMoveForMove) {
 
   EXPECT_TRUE(with_session.verified);
   EXPECT_TRUE(per_move.verified);
-  EXPECT_EQ(blif_of(with_session.optimized), blif_of(per_move.optimized));
+  EXPECT_EQ(blif_text(with_session.optimized), blif_text(per_move.optimized));
   EXPECT_EQ(with_session.result.paranoid_verdicts, per_move.result.paranoid_verdicts);
   EXPECT_EQ(with_session.result.moves_proved, per_move.result.moves_proved);
   EXPECT_GT(with_session.result.moves_proved, 0u);
@@ -455,7 +448,7 @@ TEST(ParanoidSessionFlowSlow, ThreadsStayBitIdenticalInSessionMode) {
 
   EXPECT_TRUE(serial.verified);
   EXPECT_TRUE(parallel.verified);
-  EXPECT_EQ(blif_of(serial.optimized), blif_of(parallel.optimized));
+  EXPECT_EQ(blif_text(serial.optimized), blif_text(parallel.optimized));
   EXPECT_EQ(serial.result.moves_proved, parallel.result.moves_proved);
   EXPECT_EQ(serial.result.paranoid_verdicts, parallel.result.paranoid_verdicts);
 }

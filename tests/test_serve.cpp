@@ -147,9 +147,8 @@ TEST(ServeSlow, BatchJobsMatchOneShotFlows) {
     const ModeRun run =
         run_mode(std::move(prepared), lib035(), job.mode, options_ref);
     ASSERT_TRUE(run.verified) << job.id;
-    std::ostringstream blif;
-    write_blif(run.optimized, blif, job.circuit);
-    EXPECT_EQ(read_file(dir + job.id + ".blif"), blif.str()) << job.id;
+    EXPECT_EQ(read_file(dir + job.id + ".blif"), blif_text(run.optimized, job.circuit))
+        << job.id;
   }
 
   // The per-session JSON artifacts are keyed by the job's session id.

@@ -150,9 +150,7 @@ FlowArtifacts run_session_flow(const std::string& id, const std::string& circuit
   EXPECT_TRUE(run.verified) << id;
 
   FlowArtifacts out;
-  std::ostringstream blif;
-  write_blif(run.optimized, blif, circuit);
-  out.blif = blif.str();
+  out.blif = blif_text(run.optimized, circuit);
 
   session.provenance().disable();
   std::string diag;
@@ -211,11 +209,9 @@ TEST(Session, SessionlessRunModeMatchesOwnedSession) {
     const ModeRun owned_run =
         run_mode(std::move(owned), lib035(), OptMode::GsgPlusGS, owned_options);
 
-    std::ostringstream bare_blif, owned_blif;
-    write_blif(bare_run.optimized, bare_blif, "c432");
-    write_blif(owned_run.optimized, owned_blif, "c432");
     EXPECT_TRUE(bare_run.verified) << "threads=" << threads;
-    EXPECT_EQ(bare_blif.str(), owned_blif.str()) << "threads=" << threads;
+    EXPECT_EQ(blif_text(bare_run.optimized), blif_text(owned_run.optimized))
+        << "threads=" << threads;
     // Every session collects its flow metrics, owned or call-local.
     EXPECT_GT(session.metrics().counter("scheduler.rounds"), 0u)
         << "threads=" << threads;

@@ -423,12 +423,6 @@ TEST(BenchDiff, CleanDiffHasNoViolations) {
 
 // --- end-to-end: observation changes nothing ---------------------------------
 
-std::string blif_of(const Network& net) {
-  std::ostringstream os;
-  write_blif(net, os, "trace_determinism");
-  return os.str();
-}
-
 TEST(TraceDeterminismSlow, TracingAndThreadsProduceIdenticalNetlists) {
   FlowOptions base;
   base.placer.effort = 1.0;
@@ -468,8 +462,8 @@ TEST(TraceDeterminismSlow, TracingAndThreadsProduceIdenticalNetlists) {
   const std::vector<ProvenanceRecord>& records4 = session4.provenance().records();
 
   // The headline: observation and worker count change NOTHING.
-  EXPECT_EQ(blif_of(plain.optimized), blif_of(traced1.optimized));
-  EXPECT_EQ(blif_of(plain.optimized), blif_of(traced4.optimized));
+  EXPECT_EQ(blif_text(plain.optimized), blif_text(traced1.optimized));
+  EXPECT_EQ(blif_text(plain.optimized), blif_text(traced4.optimized));
   EXPECT_EQ(plain.result.final_delay, traced4.result.final_delay);
 
   // Every committed move's chain resolves, identically across worker counts.

@@ -28,8 +28,8 @@
 //       full fanout cone instead of stopping at the slack-margin cutoff.
 //       All are A/B levers: same netlist. --timing-damp-diff replays every
 //       damped probe undamped and aborts if any PO arrival moves
-//       (self-check). Each lever is one row of the exactness-oracle table
-//       in src/fuzz/fuzz.hpp, which `rapids fuzz` runs on every circuit.
+//       (self-check). Each is a row of the exactness-oracle table (src/fuzz),
+//       applied there by this CLI's parse_optimizer_flag (src/flow).
 //       --trace writes a Chrome trace-event JSON of the run (one track per
 //       probe worker; load in Perfetto or chrome://tracing), --metrics-json
 //       a machine-readable counter/gauge/histogram snapshot, --provenance
@@ -158,6 +158,7 @@ int cmd_flow(const std::vector<std::string>& args) {
       if (i + 1 >= args.size()) throw InputError("missing value after " + a);
       return args[++i];
     };
+    if (parse_optimizer_flag(args, i, options.opt)) continue;
     if (a == "--mode") {
       const std::string m = next();
       if (m == "gsg") {
@@ -173,11 +174,6 @@ int cmd_flow(const std::vector<std::string>& args) {
       options.placer.seed = std::stoull(next());
     } else if (a == "--effort") {
       options.placer.effort = std::stod(next());
-    } else if (a == "--iters") {
-      options.opt.max_iterations = std::stoi(next());
-    } else if (a == "--threads") {
-      options.opt.threads = std::stoi(next());
-      if (options.opt.threads < 1) throw InputError("--threads must be >= 1");
     } else if (a == "--buffers") {
       buffers = true;
     } else if (a == "--out") {
@@ -188,22 +184,6 @@ int cmd_flow(const std::vector<std::string>& args) {
       options.verify = false;
     } else if (a == "--sat-verify") {
       options.verify_sat = true;
-    } else if (a == "--paranoid") {
-      options.opt.paranoid = true;
-    } else if (a == "--no-sat-session") {
-      options.opt.sat_session = false;
-    } else if (a == "--no-incremental") {
-      options.opt.incremental_extraction = false;
-    } else if (a == "--extract-diff") {
-      options.opt.extract_diff = true;
-    } else if (a == "--no-delta-sync") {
-      options.opt.delta_replica_sync = false;
-    } else if (a == "--no-prune-cache") {
-      options.opt.prune_cache = false;
-    } else if (a == "--no-timing-damp") {
-      options.opt.timing_damp = false;
-    } else if (a == "--timing-damp-diff") {
-      options.opt.timing_damp_diff = true;
     } else if (a == "--trace") {
       out_trace = next();
     } else if (a == "--metrics-json") {
