@@ -136,18 +136,12 @@ CircuitReport measure(const std::string& name, const CellLibrary& lib,
   // Parallel probe throughput: the same candidates, one group per
   // supergate, through the conflict-sharded scheduler at `threads` workers.
   if (threads > 0) {
-    std::vector<ProbeGroup> groups;
-    {
-      const GisgPartition& part = engine.partition();
-      std::vector<ProbeGroup> by_sg(part.sgs.size());
-      for (const SwapCandidate& c : swaps) {
-        by_sg[static_cast<std::size_t>(c.sg_index)].moves.push_back(
-            EngineMove::swap(c));
-      }
-      for (ProbeGroup& g : by_sg) {
-        if (!g.moves.empty()) groups.push_back(std::move(g));
-      }
+    std::vector<std::vector<EngineMove>> by_sg(engine.partition().sgs.size());
+    for (const SwapCandidate& c : swaps) {
+      by_sg[static_cast<std::size_t>(c.sg_index)].push_back(EngineMove::swap(c));
     }
+    std::erase_if(by_sg, [](const std::vector<EngineMove>& g) { return g.empty(); });
+    const std::vector<ProbeGroup> groups(by_sg.begin(), by_sg.end());
     SessionContext session("default");
     SchedulerOptions sopt;
     sopt.threads = threads;

@@ -84,15 +84,15 @@ CircuitReport measure(const std::string& name, const CellLibrary& lib,
   RewireEngine engine(net, pl, lib, sta);
   rep.cells = net.num_logic_gates();
 
-  std::vector<ProbeGroup> groups;
+  std::vector<std::vector<EngineMove>> lists;
   {
     const GisgPartition& part = engine.partition();
-    std::vector<ProbeGroup> by_sg(part.sgs.size());
+    std::vector<std::vector<EngineMove>> by_sg(part.sgs.size());
     for (const SwapCandidate& c : enumerate_all_swaps(part, net)) {
-      by_sg[static_cast<std::size_t>(c.sg_index)].moves.push_back(EngineMove::swap(c));
+      by_sg[static_cast<std::size_t>(c.sg_index)].push_back(EngineMove::swap(c));
     }
-    for (ProbeGroup& g : by_sg) {
-      if (!g.moves.empty()) groups.push_back(std::move(g));
+    for (std::vector<EngineMove>& g : by_sg) {
+      if (!g.empty()) lists.push_back(std::move(g));
     }
   }
   std::vector<GateId> logic;
@@ -100,15 +100,16 @@ CircuitReport measure(const std::string& name, const CellLibrary& lib,
     if (is_logic(net.type(g)) && net.cell(g) >= 0) logic.push_back(g);
   });
   for (std::size_t i = 0; i < logic.size(); i += 3) {
-    ProbeGroup group;
+    std::vector<EngineMove> group;
     for (const int c : resize_candidates(net, lib, logic[i])) {
-      group.moves.push_back(EngineMove::resize(logic[i], c));
+      group.push_back(EngineMove::resize(logic[i], c));
     }
-    if (!group.moves.empty()) groups.push_back(std::move(group));
+    if (!group.empty()) lists.push_back(std::move(group));
   }
+  const std::vector<ProbeGroup> groups(lists.begin(), lists.end());
   std::vector<EngineMove> script;
-  for (const ProbeGroup& g : groups) {
-    script.insert(script.end(), g.moves.begin(), g.moves.end());
+  for (const ProbeGroup g : groups) {
+    script.insert(script.end(), g.begin(), g.end());
   }
   rep.script_probes = script.size();
   if (script.empty()) return rep;

@@ -61,9 +61,10 @@ Prepared prepare(const std::string& name, const CellLibrary& lib) {
 }
 
 /// The optimizer's phase-A candidate stream: per-supergate swap groups plus
-/// per-gate resize groups (gsg+GS eligibility).
-std::vector<ProbeGroup> build_groups(RewireEngine& engine, const CellLibrary& lib) {
-  std::vector<ProbeGroup> groups;
+/// per-gate resize groups (gsg+GS eligibility), one move list per group.
+std::vector<std::vector<EngineMove>> build_groups(RewireEngine& engine,
+                                                  const CellLibrary& lib) {
+  std::vector<std::vector<EngineMove>> groups;
   Network& net = engine.net();
   const GisgPartition& part = engine.partition();
   std::vector<bool> covered(net.id_bound(), false);
@@ -71,20 +72,20 @@ std::vector<ProbeGroup> build_groups(RewireEngine& engine, const CellLibrary& li
     const SuperGate& sg = part.sgs[s];
     if (sg.is_trivial()) continue;
     for (const GateId g : sg.covered) covered[g] = true;
-    ProbeGroup group;
+    std::vector<EngineMove> group;
     for (const SwapCandidate& c :
          enumerate_swaps(part, static_cast<int>(s), net)) {
-      group.moves.push_back(EngineMove::swap(c));
+      group.push_back(EngineMove::swap(c));
     }
-    if (!group.moves.empty()) groups.push_back(std::move(group));
+    if (!group.empty()) groups.push_back(std::move(group));
   }
   for (const GateId g : net.gates()) {
     if (!is_logic(net.type(g)) || net.cell(g) < 0 || covered[g]) continue;
-    ProbeGroup group;
+    std::vector<EngineMove> group;
     for (const int cell : resize_candidates(net, lib, g)) {
-      group.moves.push_back(EngineMove::resize(g, cell));
+      group.push_back(EngineMove::resize(g, cell));
     }
-    if (!group.moves.empty()) groups.push_back(std::move(group));
+    if (!group.empty()) groups.push_back(std::move(group));
   }
   return groups;
 }
@@ -142,11 +143,11 @@ CircuitReport measure(const std::string& name, const CellLibrary& lib,
     Sta sta(net, lib, pl);
     RewireEngine engine(net, pl, lib, sta);
     rep.cells = net.num_logic_gates();
-    const std::vector<ProbeGroup> groups = build_groups(engine, lib);
+    const std::vector<std::vector<EngineMove>> groups = build_groups(engine, lib);
     rep.groups = groups.size();
     std::vector<EngineMove> flat;
-    for (const ProbeGroup& g : groups) {
-      flat.insert(flat.end(), g.moves.begin(), g.moves.end());
+    for (const std::vector<EngineMove>& g : groups) {
+      flat.insert(flat.end(), g.begin(), g.end());
     }
     rep.candidates = flat.size();
     if (flat.empty()) return rep;
@@ -164,7 +165,8 @@ CircuitReport measure(const std::string& name, const CellLibrary& lib,
     Placement pl = base.pl;
     Sta sta(net, lib, pl);
     RewireEngine engine(net, pl, lib, sta);
-    const std::vector<ProbeGroup> groups = build_groups(engine, lib);
+    const std::vector<std::vector<EngineMove>> lists = build_groups(engine, lib);
+    const std::vector<ProbeGroup> groups(lists.begin(), lists.end());
     SessionContext session("default");
     SchedulerOptions sopt;
     sopt.threads = threads;

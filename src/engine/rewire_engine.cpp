@@ -126,17 +126,19 @@ void RewireEngine::mark_commit_dirty(const EngineMove& move) {
     pending_dirty_.push_back(g);
     for (const Pin& p : net_.fanouts(g)) pending_dirty_.push_back(p.gate);
   };
-  switch (move.kind) {
-    case EngineMove::Kind::Swap:
-      touch(move.swap_cand.pin_a.gate);
-      touch(move.swap_cand.pin_b.gate);
-      touch(net_.driver_of(move.swap_cand.pin_a));
-      touch(net_.driver_of(move.swap_cand.pin_b));
+  switch (move.kind()) {
+    case EngineMove::Kind::Swap: {
+      const SwapCandidate& c = move.swap_cand();
+      touch(c.pin_a.gate);
+      touch(c.pin_b.gate);
+      touch(net_.driver_of(c.pin_a));
+      touch(net_.driver_of(c.pin_b));
       // dirty_nets holds the old drivers, reused inverter inputs and added
       // inverters — every driver whose fanout set changed.
       for (const GateId d : scratch_.swap_edit.dirty_nets) touch(d);
       for (const GateId g : scratch_.swap_edit.added_inverters) touch(g);
       break;
+    }
     case EngineMove::Kind::Resize:
       // Cell bindings are invisible to extraction: a resize leaves the
       // partition untouched (the first commit kind with zero re-extraction
@@ -176,17 +178,19 @@ void RewireEngine::record_sync_journal(const EngineMove& move,
   auto row = [this](GateId g) {
     if (g != kNullGate) sync_gates_.push_back(g);
   };
-  switch (move.kind) {
-    case EngineMove::Kind::Swap:
-      row(move.swap_cand.pin_a.gate);
-      row(move.swap_cand.pin_b.gate);
-      row(net_.driver_of(move.swap_cand.pin_a));
-      row(net_.driver_of(move.swap_cand.pin_b));
+  switch (move.kind()) {
+    case EngineMove::Kind::Swap: {
+      const SwapCandidate& c = move.swap_cand();
+      row(c.pin_a.gate);
+      row(c.pin_b.gate);
+      row(net_.driver_of(c.pin_a));
+      row(net_.driver_of(c.pin_b));
       for (const GateId d : scratch_.swap_edit.dirty_nets) row(d);
       for (const GateId g : scratch_.swap_edit.added_inverters) row(g);
       break;
+    }
     case EngineMove::Kind::Resize:
-      row(move.gate);  // cell binding changed
+      row(move.gate());  // cell binding changed
       break;
     case EngineMove::Kind::CrossSg:
       for (const CrossSgEdit::PinRestore& pr : scratch_.cross_edit.moved_pins) {
@@ -243,35 +247,34 @@ void RewireEngine::invalidate_dirty(ProbeScratch& scratch,
 
 void RewireEngine::apply_and_invalidate(ProbeScratch& scratch,
                                         const EngineMove& move) {
-  switch (move.kind) {
+  switch (move.kind()) {
     case EngineMove::Kind::Swap: {
-      apply_swap_into(net_, placement_, lib_, move.swap_cand, scratch.swap_edit);
+      apply_swap_into(net_, placement_, lib_, move.swap_cand(), scratch.swap_edit);
       invalidate_dirty(scratch, scratch.swap_edit.dirty_nets);
       break;
     }
     case EngineMove::Kind::Resize: {
-      scratch.saved_cell = net_.cell(move.gate);
-      net_.set_cell(move.gate, move.new_cell);
+      scratch.saved_cell = net_.cell(move.gate());
+      net_.set_cell(move.gate(), move.new_cell());
       // Input pin caps changed: every fanin net sees a new load; the gate's
       // own drive changed as well.
-      invalidate_dirty(scratch, net_.fanins(move.gate));
-      sta_.touch_gate(move.gate);
+      invalidate_dirty(scratch, net_.fanins(move.gate()));
+      sta_.touch_gate(move.gate());
       break;
     }
     case EngineMove::Kind::CrossSg: {
       const GisgPartition& part = partition();
+      const CrossSgCandidate& cand = move.cross_cand();
       // CrossSg candidates hold supergate SLOTS into the partition they
       // were enumerated from, stamped with those slots' generations; they
       // are probe-safe exactly while all three slots still carry the same
       // stamps (callers gate on cross_sg_fresh(), which commits elsewhere
       // in the network no longer violate).
-      RAPIDS_ASSERT_MSG(
-          part.slot_fresh(move.cross_cand.enclosing_sg, move.cross_cand.gen_enclosing) &&
-              part.slot_fresh(move.cross_cand.sg_a, move.cross_cand.gen_a) &&
-              part.slot_fresh(move.cross_cand.sg_b, move.cross_cand.gen_b),
-          "cross-sg candidate references a stale partition slot");
-      apply_cross_sg_swap_into(net_, placement_, lib_, part, move.cross_cand,
-                               scratch.cross_edit);
+      RAPIDS_ASSERT_MSG(part.slot_fresh(cand.enclosing_sg, cand.gen_enclosing) &&
+                            part.slot_fresh(cand.sg_a, cand.gen_a) &&
+                            part.slot_fresh(cand.sg_b, cand.gen_b),
+                        "cross-sg candidate references a stale partition slot");
+      apply_cross_sg_swap_into(net_, placement_, lib_, part, cand, scratch.cross_edit);
       for (const GateId d : scratch.cross_edit.dirty_nets) sta_.invalidate_net(d);
       for (const CrossSgEdit::Retype& r : scratch.cross_edit.retyped) {
         sta_.touch_gate(r.gate);
@@ -282,12 +285,12 @@ void RewireEngine::apply_and_invalidate(ProbeScratch& scratch,
 }
 
 void RewireEngine::undo_network_edit(ProbeScratch& scratch, const EngineMove& move) {
-  switch (move.kind) {
+  switch (move.kind()) {
     case EngineMove::Kind::Swap:
       undo_swap(net_, placement_, scratch.swap_edit);
       break;
     case EngineMove::Kind::Resize:
-      net_.set_cell(move.gate, scratch.saved_cell);
+      net_.set_cell(move.gate(), scratch.saved_cell);
       break;
     case EngineMove::Kind::CrossSg:
       undo_cross_sg_swap(net_, placement_, scratch.cross_edit);
@@ -330,7 +333,7 @@ EngineObjective RewireEngine::probe_with(ProbeScratch& scratch,
 }
 
 void RewireEngine::count_commit(const EngineMove& move) {
-  switch (move.kind) {
+  switch (move.kind()) {
     case EngineMove::Kind::Swap:
       ++stats_.swaps_committed;
       stats_.inverters_added +=
@@ -406,19 +409,19 @@ void RewireEngine::begin_paranoid_proof(const EngineMove& move) {
   // move rewires (swap: its own supergate; cross-sg: the enclosing one).
   const GisgPartition& part = partition();
   GateId root = kNullGate;
-  switch (move.kind) {
+  switch (move.kind()) {
     case EngineMove::Kind::Swap: {
       // Swap candidates survive across epochs (they reference stable gate
       // ids), but their sg_index refers to the partition they were
       // extracted from — resolve the pin's supergate in the CURRENT
       // partition instead.
-      const SuperGate* sg = part.sg_containing(move.swap_cand.pin_a.gate);
+      const SuperGate* sg = part.sg_containing(move.swap_cand().pin_a.gate);
       RAPIDS_ASSERT_MSG(sg != nullptr, "swap pin outside any supergate");
       root = sg->root;
       break;
     }
     case EngineMove::Kind::CrossSg:
-      root = part.sgs[static_cast<std::size_t>(move.cross_cand.enclosing_sg)].root;
+      root = part.sgs[static_cast<std::size_t>(move.cross_cand().enclosing_sg)].root;
       break;
     case EngineMove::Kind::Resize:
       RAPIDS_ASSERT_MSG(false, "resize moves are exempt from proofs");
@@ -431,10 +434,10 @@ void RewireEngine::begin_paranoid_proof(const EngineMove& move) {
   paranoid_created_.clear();
   sta_.begin();
   apply_and_invalidate(scratch_, move);
-  switch (move.kind) {
+  switch (move.kind()) {
     case EngineMove::Kind::Swap:
-      paranoid_changed_.push_back(move.swap_cand.pin_a.gate);
-      paranoid_changed_.push_back(move.swap_cand.pin_b.gate);
+      paranoid_changed_.push_back(move.swap_cand().pin_a.gate);
+      paranoid_changed_.push_back(move.swap_cand().pin_b.gate);
       paranoid_created_ = scratch_.swap_edit.added_inverters;
       break;
     case EngineMove::Kind::CrossSg:
@@ -466,7 +469,7 @@ void RewireEngine::begin_paranoid_proof(const EngineMove& move) {
 }
 
 EngineObjective RewireEngine::commit(const EngineMove& move) {
-  const bool prove = paranoid() && move.kind != EngineMove::Kind::Resize;
+  const bool prove = paranoid() && move.kind() != EngineMove::Kind::Resize;
   if (prove) begin_paranoid_proof(move);
   sta_.begin();
   apply_and_invalidate(scratch_, move);
@@ -488,7 +491,7 @@ EngineObjective RewireEngine::commit(const EngineMove& move) {
     // apply's edit record (ids can differ from the throwaway apply only in
     // recycling order, but take no chances).
     paranoid_created_ =
-        move.kind == EngineMove::Kind::Swap ? scratch_.swap_edit.added_inverters
+        move.kind() == EngineMove::Kind::Swap ? scratch_.swap_edit.added_inverters
                                             : scratch_.cross_edit.added_inverters;
     std::string diag;
     const bool window_ok =
@@ -569,13 +572,13 @@ EngineObjective RewireEngine::commit(const EngineMove& move) {
 }
 
 void RewireEngine::commit_and_revert(const EngineMove& move) {
-  RAPIDS_ASSERT_MSG(move.kind == EngineMove::Kind::Swap,
+  RAPIDS_ASSERT_MSG(move.kind() == EngineMove::Kind::Swap,
                     "commit_and_revert supports swap moves");
   // Bench-only path: commits without journal records; replicas (if any)
   // must fall back to a full sync.
   sync_journal_valid_ = false;
   sta_.begin();
-  apply_swap_into(net_, placement_, lib_, move.swap_cand, scratch_.swap_edit);
+  apply_swap_into(net_, placement_, lib_, move.swap_cand(), scratch_.swap_edit);
   invalidate_dirty(scratch_, scratch_.swap_edit.dirty_nets);
   sta_.propagate();
   sta_.commit();
@@ -603,8 +606,8 @@ int RewireEngine::commit_best(std::vector<RankedMove>& ranked, double min_gain) 
     // batch may have re-extracted one of their supergates, which stales
     // them (not even probe-safe) — the per-slot generation stamps decide,
     // so cross moves over untouched supergates survive unrelated commits.
-    if (rm.move.kind == EngineMove::Kind::CrossSg &&
-        !cross_sg_fresh(rm.move.cross_cand)) {
+    if (rm.move.kind() == EngineMove::Kind::CrossSg &&
+        !cross_sg_fresh(rm.move.cross_cand())) {
       continue;
     }
     // Re-validate against the current state: earlier commits may have

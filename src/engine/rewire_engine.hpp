@@ -31,6 +31,8 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "library/cell_library.hpp"
@@ -61,35 +63,55 @@ struct EngineObjective {
   bool pruned = false;
 };
 
-/// One candidate transformation, uniformly over all move kinds.
-struct EngineMove {
+/// One candidate transformation, uniformly over all move kinds. Swap and
+/// Resize payloads are stored inline; the (rare, 64-byte) CrossSg candidate
+/// lives out of line, shared and immutable, so copies of a cross move share
+/// one payload. A round holds one move per candidate swap of every
+/// supergate, so the size is pinned below.
+class EngineMove {
+ public:
+  /// Order matches the payload alternatives (kind() reads the index).
   enum class Kind : std::uint8_t { Swap, Resize, CrossSg };
-  Kind kind = Kind::Swap;
-  SwapCandidate swap_cand;     // Kind::Swap
-  GateId gate = kNullGate;     // Kind::Resize
-  int new_cell = -1;           // Kind::Resize
-  CrossSgCandidate cross_cand; // Kind::CrossSg
 
-  static EngineMove swap(const SwapCandidate& c) {
-    EngineMove m;
-    m.kind = Kind::Swap;
-    m.swap_cand = c;
-    return m;
-  }
-  static EngineMove resize(GateId g, int cell) {
-    EngineMove m;
-    m.kind = Kind::Resize;
-    m.gate = g;
-    m.new_cell = cell;
-    return m;
-  }
+  /// A default move is a Swap over an empty candidate (a GroupResult with
+  /// no winner holds one).
+  EngineMove() = default;
+
+  static EngineMove swap(const SwapCandidate& c) { return EngineMove(c); }
+  static EngineMove resize(GateId g, int cell) { return EngineMove(Resize{g, cell}); }
   static EngineMove cross_sg(const CrossSgCandidate& c) {
-    EngineMove m;
-    m.kind = Kind::CrossSg;
-    m.cross_cand = c;
-    return m;
+    return EngineMove(std::make_shared<const CrossSgCandidate>(c));
   }
+
+  Kind kind() const { return static_cast<Kind>(payload_.index()); }
+  const SwapCandidate& swap_cand() const { return std::get<SwapCandidate>(payload_); }
+  GateId gate() const { return std::get<Resize>(payload_).gate; }       // Resize
+  int new_cell() const { return std::get<Resize>(payload_).new_cell; }  // Resize
+  /// Copies of one CrossSg move return the same shared candidate.
+  const CrossSgCandidate& cross_cand() const { return *std::get<CrossPtr>(payload_); }
+
+  /// Value equality: same kind and same candidate (CrossSg compares the
+  /// pointees, not the pointers).
+  friend bool operator==(const EngineMove& a, const EngineMove& b) {
+    if (a.kind() != b.kind()) return false;
+    if (a.kind() == Kind::CrossSg) return a.cross_cand() == b.cross_cand();
+    return a.payload_ == b.payload_;
+  }
+
+ private:
+  struct Resize {
+    GateId gate = kNullGate;
+    int new_cell = -1;
+    friend bool operator==(const Resize&, const Resize&) = default;
+  };
+  using CrossPtr = std::shared_ptr<const CrossSgCandidate>;
+
+  template <class P>
+  explicit EngineMove(P payload) : payload_(std::move(payload)) {}
+
+  std::variant<SwapCandidate, Resize, CrossPtr> payload_;
 };
+static_assert(sizeof(EngineMove) <= 32, "EngineMove must stay a 32-byte value");
 
 /// Paranoid-mode prover configuration.
 struct ParanoidOptions {

@@ -1,12 +1,12 @@
 #include "opt/optimizer.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <optional>
 #include <span>
 #include <vector>
 
 #include "engine/rewire_engine.hpp"
+#include "opt/swap_move_cache.hpp"
 #include "parallel/scheduler.hpp"
 #include "rewire/swap.hpp"
 #include "session/session.hpp"
@@ -53,7 +53,8 @@ class Optimizer {
             SessionContext& session, const OptimizerOptions& options)
       : net_(net), lib_(lib), sta_(sta), tracer_(session.tracer()),
         engine_(net, pl, lib, sta),
-        scheduler_(engine_, session, scheduler_options(options)), options_(options) {
+        scheduler_(engine_, session, scheduler_options(options)), options_(options),
+        swap_cache_(net, sta, options) {
     // The live engine records into the run's session (replica engines are
     // wired by the scheduler's probe contexts).
     engine_.set_tracer(&tracer_);
@@ -169,7 +170,7 @@ class Optimizer {
     sched.export_to(m);
     sched.sync.export_to(m);
     PartitionStats partition = engine_.partition_stats();
-    partition.groups_reused = groups_reused_;
+    partition.groups_reused = swap_cache_.lists_reused();
     partition.export_to(m);
     proof_stats().export_to(m);
 
@@ -182,8 +183,8 @@ class Optimizer {
     count("engine.redundancies_found", result.redundancies_found);
     count("engine.canonicalize_calls", net_.canonicalize_calls() - canon_calls_base_);
     count("engine.gates_canonicalized", net_.gates_canonicalized() - canon_gates_base_);
-    count("engine.candidates_enumerated", candidates_enumerated_);
-    count("engine.pruned_groups_cached", pruned_cache_hits_);
+    count("engine.candidates_enumerated", swap_cache_.candidates_enumerated());
+    count("engine.pruned_groups_cached", swap_cache_.pruned_hits());
     count("scheduler.committed", result.swaps_committed + result.resizes_committed);
     count("proof.moves_proved", result.moves_proved);
     count("proof.inconclusive", result.paranoid_inconclusive);
@@ -247,24 +248,13 @@ class Optimizer {
 
   // --- group construction ---------------------------------------------------
 
-  /// Pop the next pooled ProbeGroup (capacity retained across rounds: a
-  /// steady optimization loop rebuilds its group lists without allocating).
-  ProbeGroup& next_group() {
-    if (groups_used_ < groups_.size()) {
-      groups_[groups_used_].moves.clear();
-    } else {
-      groups_.emplace_back();
-    }
-    return groups_[groups_used_++];
-  }
-
-  /// Drop the last pooled group (it stayed empty).
-  void discard_group() { --groups_used_; }
-
+  /// Rebuild this phase's groups: one view per non-empty swap list (into
+  /// the swap cache, which owns the lists) and one per resize candidate
+  /// list (into resize_pool_). Every view of the previous phase dies here.
   std::span<const ProbeGroup> build_groups() {
     const Timer groups_timer;
     TraceSpan groups_span(tracer_, "opt", "build_groups");
-    groups_used_ = 0;
+    reset_groups();
     const bool want_swaps = options_.mode != OptMode::GateSizing;
     const bool want_resizes = options_.mode != OptMode::Gsg;
 
@@ -275,7 +265,6 @@ class Optimizer {
       // exactly the supergates they restructure; partition() splices those
       // regions in and leaves every other slot's generation untouched.
       const GisgPartition& part = engine_.partition();
-      if (swap_cache_.size() < part.sgs.size()) swap_cache_.resize(part.sgs.size());
       // Canonical group order: by supergate ROOT id, not slot index. Slot
       // numbering is maintenance-history-dependent (recycled slots), and
       // the arbiter breaks exact gain ties by group index — root order
@@ -291,34 +280,9 @@ class Optimizer {
                   return part.sgs[a].root < part.sgs[b].root;
                 });
       for (const std::size_t s : slot_order_) {
-        const SuperGate& sg = part.sgs[s];
-        for (const GateId g : sg.covered) covered_nontrivial_[g] = 1;
-        SwapGroupCache& entry = swap_cache_[s];
-        // Clean slot: the supergate — and therefore its feasible swap set —
-        // is untouched since the moves were enumerated. An arrival-gap-
-        // PRUNED list additionally depends on the drivers' arrivals at
-        // enumeration time; the slack-epoch stamps prove those are still
-        // bit-identical, so the cached list equals what re-enumeration
-        // would produce and the commit stream is the same cache on or off.
-        const bool gen_clean =
-            entry.generation != 0 && entry.generation == sg.generation;
-        const bool cache_ok =
-            gen_clean && (!entry.pruned ||
-                          (options_.prune_cache && pruned_cache_valid(sg, entry)));
-        if (cache_ok) {
-          if (entry.pruned) ++pruned_cache_hits_;
-          // A cached EMPTY list never becomes a group, so not counted reused.
-          if (entry.moves.empty()) continue;
-          next_group().moves = entry.moves;
-          ++groups_reused_;
-        } else {
-          ProbeGroup& group = next_group();
-          swap_moves(part, static_cast<int>(s), group.moves);
-          entry.moves = group.moves;
-          entry.generation = sg.generation;
-          entry.timing_epoch = sta_.timing_epoch();
-          if (group.moves.empty()) discard_group();
-        }
+        for (const GateId g : part.sgs[s].covered) covered_nontrivial_[g] = 1;
+        const ProbeGroup moves = swap_cache_.serve(part, s);
+        if (!moves.empty()) groups_.push_back(moves);
       }
     }
     if (want_resizes) {
@@ -326,67 +290,38 @@ class Optimizer {
         if (!is_logic(net_.type(g)) || net_.cell(g) < 0) continue;
         // gsg+GS sizes only gates NOT covered by a non-trivial supergate.
         if (options_.mode == OptMode::GsgPlusGS && covered_nontrivial_[g]) continue;
-        ProbeGroup& group = next_group();
         for (const int cell : resize_candidates(net_, lib_, g)) {
-          group.moves.push_back(EngineMove::resize(g, cell));
+          resize_pool_.push_back(EngineMove::resize(g, cell));
         }
-        if (group.moves.empty()) discard_group();
+        close_resize_group();
       }
+      append_resize_groups();
     }
-    groups_span.set_arg("groups", static_cast<std::int64_t>(groups_used_));
+    groups_span.set_arg("groups", static_cast<std::int64_t>(groups_.size()));
     seconds_groups_ += groups_timer.seconds();
-    return {groups_.data(), groups_used_};
+    return groups_;
   }
 
-  /// Per-supergate-slot cache of enumerated swap moves, valid while the
-  /// slot's generation is unchanged. `pruned` marks move lists truncated by
-  /// the arrival-gap heuristic — those additionally depend on the timing
-  /// state at enumeration (`timing_epoch`) and are served only while the
-  /// relevant arrival stamps prove that state unchanged.
-  struct SwapGroupCache {
-    std::uint64_t generation = 0;
-    std::uint64_t timing_epoch = 0;
-    bool pruned = false;
-    std::vector<EngineMove> moves;
-  };
-
-  /// True when no arrival a pruned enumeration could have read — the leaf
-  /// drivers' and the covered gates' (candidate pins' drivers are always
-  /// one or the other) — changed since the list was cached.
-  bool pruned_cache_valid(const SuperGate& sg, const SwapGroupCache& entry) const {
-    for (const CoveredPin& p : sg.pins) {
-      if (sta_.arrival_stamp(p.driver) > entry.timing_epoch) return false;
-    }
-    for (const GateId g : sg.covered) {
-      if (sta_.arrival_stamp(g) > entry.timing_epoch) return false;
-    }
-    return true;
+  void reset_groups() {
+    groups_.clear();
+    resize_pool_.clear();
+    resize_ends_.clear();
   }
 
-  void swap_moves(const GisgPartition& part, int sg_index,
-                  std::vector<EngineMove>& moves) {
-    std::vector<SwapCandidate> cands =
-        enumerate_swaps(part, sg_index, net_, options_.leaves_only_swaps);
-    candidates_enumerated_ += cands.size();
-    const bool pruned = static_cast<int>(cands.size()) > options_.max_swaps_per_sg;
-    swap_cache_[static_cast<std::size_t>(sg_index)].pruned = pruned;
-    if (pruned) {
-      // Keep the pairs with the largest arrival mismatch between the two
-      // drivers: those are where rewiring can shift the critical path.
-      std::sort(cands.begin(), cands.end(),
-                [this](const SwapCandidate& a, const SwapCandidate& b) {
-                  return arrival_gap(a) > arrival_gap(b);
-                });
-      cands.resize(static_cast<std::size_t>(options_.max_swaps_per_sg));
-    }
-    moves.reserve(cands.size());
-    for (const SwapCandidate& c : cands) moves.push_back(EngineMove::swap(c));
+  /// End the resize group being appended to resize_pool_ (dropped when it
+  /// stayed empty).
+  void close_resize_group() {
+    const std::size_t begin = resize_ends_.empty() ? 0 : resize_ends_.back();
+    if (resize_pool_.size() > begin) resize_ends_.push_back(resize_pool_.size());
   }
 
-  double arrival_gap(const SwapCandidate& c) const {
-    const double a = sta_.arrival(net_.driver_of(c.pin_a));
-    const double b = sta_.arrival(net_.driver_of(c.pin_b));
-    return std::abs(a - b);
+  /// View every closed resize group, once resize_pool_ no longer grows.
+  void append_resize_groups() {
+    std::size_t begin = 0;
+    for (const std::size_t end : resize_ends_) {
+      groups_.push_back(ProbeGroup(resize_pool_).subspan(begin, end - begin));
+      begin = end;
+    }
   }
 
   // --- phases ---------------------------------------------------------------
@@ -398,7 +333,7 @@ class Optimizer {
   void phase_area_recovery() {
     TraceSpan phase_span(tracer_, "opt", "area_recovery");
     const Timer groups_timer;
-    groups_used_ = 0;
+    reset_groups();
     covered_nontrivial_.assign(net_.id_bound(), 0);
     if (options_.mode == OptMode::GsgPlusGS) {
       const GisgPartition& part = engine_.partition();
@@ -419,16 +354,15 @@ class Optimizer {
       std::sort(cands.begin(), cands.end(), [this](int a, int b) {
         return lib_.cell(a).area < lib_.cell(b).area;
       });
-      ProbeGroup& group = next_group();
       for (const int cand : cands) {
         if (lib_.cell(cand).area >= current.area) break;
-        group.moves.push_back(EngineMove::resize(g, cand));
+        resize_pool_.push_back(EngineMove::resize(g, cand));
       }
-      if (group.moves.empty()) discard_group();
+      close_resize_group();
     }
+    append_resize_groups();
     seconds_groups_ += groups_timer.seconds();
-    scheduler_.run_round({groups_.data(), groups_used_}, ProbePolicy::FirstFit,
-                         budget);
+    scheduler_.run_round(groups_, ProbePolicy::FirstFit, budget);
   }
 
   Network& net_;
@@ -439,21 +373,20 @@ class Optimizer {
   ParallelRewireScheduler scheduler_;
   OptimizerOptions options_;
 
-  std::vector<SwapGroupCache> swap_cache_;
+  SwapMoveCache swap_cache_;  // the one owner of swap lists
   double seconds_setup_ = 0.0;
   double seconds_groups_ = 0.0;
   double seconds_finalize_ = 0.0;
   std::uint64_t canon_calls_base_ = 0;
   std::uint64_t canon_gates_base_ = 0;
-  std::uint64_t groups_reused_ = 0;
-  std::uint64_t pruned_cache_hits_ = 0;
-  std::uint64_t candidates_enumerated_ = 0;
   std::vector<std::size_t> slot_order_;  // root-sorted live slots (reused)
 
-  // Held-capacity pools: the per-phase group lists and the id_bound-sized
-  // coverage scratch reuse their storage across rounds and phases.
+  // Held-capacity pools, rebuilt each phase: the group views, the resize
+  // moves they view (with each group's end offset), and the id_bound-sized
+  // coverage scratch.
   std::vector<ProbeGroup> groups_;
-  std::size_t groups_used_ = 0;
+  std::vector<EngineMove> resize_pool_;
+  std::vector<std::size_t> resize_ends_;
   std::vector<std::uint8_t> covered_nontrivial_;
 };
 

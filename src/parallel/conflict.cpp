@@ -37,9 +37,9 @@ namespace {
 /// Mirrors RewireEngine::apply_and_invalidate's invalidation pattern.
 void direct_touches(const Network& net, const GisgPartition* part,
                     const EngineMove& move, std::vector<GateId>& out) {
-  switch (move.kind) {
+  switch (move.kind()) {
     case EngineMove::Kind::Swap: {
-      const SwapCandidate& c = move.swap_cand;
+      const SwapCandidate& c = move.swap_cand();
       const GateId da = net.driver_of(c.pin_a);
       const GateId db = net.driver_of(c.pin_b);
       out.push_back(c.pin_a.gate);
@@ -55,14 +55,14 @@ void direct_touches(const Network& net, const GisgPartition* part,
       break;
     }
     case EngineMove::Kind::Resize: {
-      out.push_back(move.gate);
-      for (const GateId f : net.fanins(move.gate)) out.push_back(f);
+      out.push_back(move.gate());
+      for (const GateId f : net.fanins(move.gate())) out.push_back(f);
       break;
     }
     case EngineMove::Kind::CrossSg: {
       RAPIDS_ASSERT_MSG(part != nullptr,
                         "cross-sg signatures require the extraction partition");
-      const CrossSgCandidate& c = move.cross_cand;
+      const CrossSgCandidate& c = move.cross_cand();
       out.push_back(c.pin_a.gate);
       out.push_back(c.pin_b.gate);
       for (const int s : {c.sg_a, c.sg_b}) {
@@ -113,7 +113,7 @@ ConflictSignature move_signature(const Network& net, const GisgPartition* part,
 }
 
 ConflictSignature group_signature(const Network& net, const GisgPartition* part,
-                                  const std::vector<EngineMove>& moves,
+                                  std::span<const EngineMove> moves,
                                   int cone_depth) {
   ConflictSignature sig;
   for (const EngineMove& m : moves) direct_touches(net, part, m, sig.touched);

@@ -20,6 +20,7 @@
 // SHARED netlist.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "engine/rewire_engine.hpp"
@@ -49,7 +50,7 @@ ConflictSignature move_signature(const Network& net, const GisgPartition* part,
 
 /// Signature of a candidate group: union over its moves' signatures.
 ConflictSignature group_signature(const Network& net, const GisgPartition* part,
-                                  const std::vector<EngineMove>& moves, int cone_depth);
+                                  std::span<const EngineMove> moves, int cone_depth);
 
 /// Conflict-aware shard assignment. Returns shard_of[g] in [0, num_shards)
 /// for every group. Connected components of the conflict graph are kept on

@@ -42,7 +42,7 @@ ParallelRewireScheduler::ParallelRewireScheduler(RewireEngine& engine,
 GroupResult ParallelRewireScheduler::probe_group(RewireEngine& eng,
                                                  ProbeScratch& scratch,
                                                  int group_index,
-                                                 const ProbeGroup& group,
+                                                 ProbeGroup group,
                                                  ProbePolicy policy, double threshold,
                                                  double base_critical,
                                                  double base_sum) const {
@@ -53,8 +53,8 @@ GroupResult ParallelRewireScheduler::probe_group(RewireEngine& eng,
     case ProbePolicy::MinCritical: {
       double best_gain = 0.0;
       double best_sum_gain = 0.0;
-      for (std::size_t i = 0; i < group.moves.size(); ++i) {
-        const EngineMove& move = group.moves[i];
+      for (std::size_t i = 0; i < group.size(); ++i) {
+        const EngineMove& move = group[i];
         const EngineObjective obj = eng.probe_with(scratch, move, critical_mask_);
         ++r.probes;
         // A pruned move's gain is <= 0 (Sta::seeds_avoid), and the mask is
@@ -80,8 +80,8 @@ GroupResult ParallelRewireScheduler::probe_group(RewireEngine& eng,
     }
     case ProbePolicy::Relaxation: {
       double best_sum_gain = threshold;
-      for (std::size_t i = 0; i < group.moves.size(); ++i) {
-        const EngineMove& move = group.moves[i];
+      for (std::size_t i = 0; i < group.size(); ++i) {
+        const EngineMove& move = group[i];
         const EngineObjective obj = eng.probe_with(scratch, move);
         ++r.probes;
         if (obj.critical > base_critical + kCritSlack) continue;
@@ -98,8 +98,8 @@ GroupResult ParallelRewireScheduler::probe_group(RewireEngine& eng,
       break;
     }
     case ProbePolicy::FirstFit: {
-      for (std::size_t i = 0; i < group.moves.size(); ++i) {
-        const EngineMove& move = group.moves[i];
+      for (std::size_t i = 0; i < group.size(); ++i) {
+        const EngineMove& move = group[i];
         const EngineObjective obj = eng.probe_with(scratch, move);
         ++r.probes;
         if (obj.critical <= threshold) {
@@ -177,9 +177,9 @@ std::vector<GroupResult> ParallelRewireScheduler::probe_round(
   // adopt it for the same reason and only then — materializing it here,
   // before the pool runs, keeps the worker-side copies race-free.
   bool any_cross = false;
-  for (const ProbeGroup& g : groups) {
-    for (const EngineMove& m : g.moves) {
-      if (m.kind == EngineMove::Kind::CrossSg) {
+  for (const ProbeGroup g : groups) {
+    for (const EngineMove& m : g) {
+      if (m.kind() == EngineMove::Kind::CrossSg) {
         any_cross = true;
         break;
       }
@@ -190,7 +190,7 @@ std::vector<GroupResult> ParallelRewireScheduler::probe_round(
 
   std::vector<ConflictSignature> sigs(groups.size());
   for (std::size_t g = 0; g < groups.size(); ++g) {
-    sigs[g] = group_signature(engine_.net(), part, groups[g].moves,
+    sigs[g] = group_signature(engine_.net(), part, groups[g],
                               options_.cone_depth);
   }
 
@@ -200,7 +200,7 @@ std::vector<GroupResult> ParallelRewireScheduler::probe_round(
   // were measured at 7x worker-probe spread on c1908.
   std::vector<std::uint64_t> weights(groups.size());
   for (std::size_t g = 0; g < groups.size(); ++g) {
-    weights[g] = groups[g].moves.size();
+    weights[g] = groups[g].size();
   }
   const std::vector<int> shard_of = assign_shards(sigs, weights, workers);
   std::vector<std::vector<int>> shard_groups(static_cast<std::size_t>(workers));
@@ -339,8 +339,8 @@ int ParallelRewireScheduler::arbitrate_and_commit(
     // re-extracted one of their supergates stales them (not even
     // probe-safe). The per-slot generation stamps decide — commits in
     // unrelated regions no longer discard the round's cross-sg winners.
-    if (r.move.kind == EngineMove::Kind::CrossSg &&
-        !engine_.cross_sg_fresh(r.move.cross_cand)) {
+    if (r.move.kind() == EngineMove::Kind::CrossSg &&
+        !engine_.cross_sg_fresh(r.move.cross_cand())) {
       ++stats_.stale_cross_sg;
       prov.record(win_id, ProvenanceStage::StaleCrossSg);
       continue;
@@ -391,14 +391,13 @@ int ParallelRewireScheduler::arbitrate_and_commit(
       // this gate). Groups where NO candidate fit the baseline never reach
       // arbitration; that pruning is the round's parallel win and the one
       // deliberate divergence from the serial scan.
-      const std::vector<EngineMove>& moves =
-          groups[static_cast<std::size_t>(r.group)].moves;
+      const ProbeGroup moves = groups[static_cast<std::size_t>(r.group)];
       for (std::size_t i = 0; i < moves.size(); ++i) {
         if (static_cast<int>(i) == r.move_index) continue;  // already probed
         // Same per-slot staleness rule as the winner path: cross-sg
         // candidates are only probe-safe while their generations hold.
-        if (moves[i].kind == EngineMove::Kind::CrossSg &&
-            !engine_.cross_sg_fresh(moves[i].cross_cand)) {
+        if (moves[i].kind() == EngineMove::Kind::CrossSg &&
+            !engine_.cross_sg_fresh(moves[i].cross_cand())) {
           ++stats_.stale_cross_sg;
           continue;
         }

@@ -57,10 +57,17 @@ namespace rapids {
 
 class SessionContext;
 
-/// The unit that gets at most one committed move per round.
-struct ProbeGroup {
-  std::vector<EngineMove> moves;
-};
+/// The unit that gets at most one committed move per round: a view of
+/// candidate moves the caller owns. The scheduler never copies a group's
+/// moves (a winner is copied into its GroupResult).
+///
+/// Lifetime: a view must stay valid for the whole round it is passed to
+/// (probe_round through arbitrate_and_commit). The optimizer's groups view
+/// its per-slot swap cache and its pooled resize list; they stay valid
+/// until its next build_groups or area-recovery phase, which re-enumerates
+/// dirty slots and rebuilds the pool. Benches and tests keep their own
+/// backing lists.
+using ProbeGroup = std::span<const EngineMove>;
 
 /// What "best move of a group" means for a round.
 enum class ProbePolicy : std::uint8_t {
@@ -170,8 +177,7 @@ class ParallelRewireScheduler {
 
   /// Shard `groups` by conflict signature and probe them in parallel
   /// against the live state. Returns one result per group, indexed like
-  /// `groups`, independent of worker count. (Spans accept plain vectors;
-  /// the optimizer passes its pooled group storage without copying.)
+  /// `groups`, independent of worker count.
   std::vector<GroupResult> probe_round(std::span<const ProbeGroup> groups,
                                        ProbePolicy policy, double threshold);
 
@@ -197,7 +203,7 @@ class ParallelRewireScheduler {
 
  private:
   GroupResult probe_group(RewireEngine& eng, ProbeScratch& scratch, int group_index,
-                          const ProbeGroup& group, ProbePolicy policy,
+                          ProbeGroup group, ProbePolicy policy,
                           double threshold, double base_critical,
                           double base_sum) const;
 

@@ -39,6 +39,8 @@ struct CrossSgCandidate {
   std::uint64_t gen_enclosing = 0;
   std::uint64_t gen_a = 0;
   std::uint64_t gen_b = 0;
+
+  friend bool operator==(const CrossSgCandidate&, const CrossSgCandidate&) = default;
 };
 
 /// Find all cross-supergate swap opportunities in the partition: pairs of

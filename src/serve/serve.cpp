@@ -11,6 +11,10 @@
 #include <thread>
 #include <utility>
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 #include "flow/flow.hpp"
 #include "io/blif_writer.hpp"
 #include "library/cell_library.hpp"
@@ -29,6 +33,22 @@ OptMode parse_mode(const std::string& m, const std::string& where) {
   if (m == "gs" || m == "GS") return OptMode::GateSizing;
   if (m == "gsg+gs" || m == "gsg+GS") return OptMode::GsgPlusGS;
   throw InputError(where + ": unknown mode: " + m);
+}
+
+/// The one cell library of a serve process, built on first use and shared
+/// read-only by every job (CellLibrary holds no mutable state).
+const CellLibrary& serve_library() {
+  static const CellLibrary lib = builtin_library_035();
+  return lib;
+}
+
+/// Hand the pages a finished job freed back to the OS. glibc keeps each
+/// worker arena at the high-water mark of the largest job it ran, so
+/// without this a worker's resident set never falls after a big job.
+void release_freed_memory() {
+#ifdef __GLIBC__
+  malloc_trim(0);
+#endif
 }
 
 }  // namespace
@@ -107,7 +127,7 @@ ServeJobResult run_serve_job(const ServeJob& job) {
     options.opt.threads = job.threads;
     options.verify = job.verify;
 
-    const CellLibrary lib = builtin_library_035();
+    const CellLibrary& lib = serve_library();
     MetricsRegistry& metrics = session.metrics();
     Network src;
     {
@@ -172,6 +192,7 @@ std::vector<ServeJobResult> serve_batch(const std::vector<ServeJob>& jobs,
       const std::size_t i = next.fetch_add(1);
       if (i >= jobs.size()) return;
       results[i] = run_serve_job(jobs[i]);
+      release_freed_memory();
     }
   };
   const int n = std::max(1, std::min<int>(options.max_concurrent,
@@ -214,10 +235,14 @@ int serve_loop(std::istream& in, std::ostream& out, const ServeOptions& options)
         queue.pop_front();
       }
       const ServeJobResult r = run_serve_job(job);
-      std::lock_guard<std::mutex> lk(mu);
-      ++completed;
-      if (!r.ok || !r.verified) ++failed;
-      report(r);
+      {
+        std::lock_guard<std::mutex> lk(mu);
+        ++completed;
+        if (!r.ok || !r.verified) ++failed;
+        report(r);
+      }
+      // After the report: the client sees its completion line first.
+      release_freed_memory();
     }
   };
 

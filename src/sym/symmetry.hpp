@@ -31,6 +31,8 @@ struct SwapCandidate {
   /// True when both pins are supergate leaves (pure wire exchange);
   /// internal-pin swaps exchange whole subtrees (logic-level reduction).
   bool leaf_swap = true;
+
+  friend bool operator==(const SwapCandidate&, const SwapCandidate&) = default;
 };
 
 /// True iff one pin's root path properly contains the other's: `a` lies on

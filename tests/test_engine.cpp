@@ -3,6 +3,7 @@
 // contract; id recycling under probe loops.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "engine/rewire_engine.hpp"
@@ -12,6 +13,7 @@
 #include "netlist/builder.hpp"
 #include "netlist/validate.hpp"
 #include "place/placer.hpp"
+#include "rewire/cross_sg.hpp"
 #include "rewire/swap.hpp"
 #include "sizing/sizing.hpp"
 #include "sym/gisg.hpp"
@@ -287,6 +289,129 @@ TEST(RewireEngine, CrossSgProbeRoundTripsExactly) {
   expect_restored(snap, net, pl, sta);
   EXPECT_TRUE(validate(net).empty());
   EXPECT_TRUE(check_equivalence(golden, net).equivalent);
+}
+
+TEST(EngineMove, CopiesRoundTripCompareProbeAndCommitLikeTheOriginal) {
+  // Swap and Resize moves hold their payload inline; a CrossSg move holds a
+  // shared immutable candidate. A copy of any of them must read back,
+  // compare, probe and commit exactly like the move it was copied from.
+  // Fig. 3 shape (an XOR encloses two same-width AND/OR supergates, so
+  // their groups can be exchanged) beside an unrelated swappable region.
+  NetworkBuilder b;
+  const GateId a = b.input("a"), bb = b.input("b"), c = b.input("c");
+  const GateId d = b.input("d"), e = b.input("e"), g = b.input("g");
+  const GateId p = b.input("p"), q = b.input("q"), r = b.input("r");
+  b.output("f", b.xor_({b.and_({a, bb, c}), b.or_({d, e, g})}));
+  b.output("h", b.and_({p, b.nor({q, r})}));
+  const CellLibrary& lib = lib035();
+  Network net = map_network(b.take(), lib).mapped;
+  Placement pl(net.id_bound());
+  for (const GateId gate : net.gates()) pl.set(gate, Point{0, 0});
+  pl.set_die(Die{});
+  Network twin_net = net.clone();
+  Placement twin_pl = pl;
+  Sta sta(net, lib, pl);
+  Sta twin_sta(twin_net, lib, twin_pl);
+  sta.run_full();
+  twin_sta.run_full();
+  RewireEngine engine(net, pl, lib, sta);
+  RewireEngine twin(twin_net, twin_pl, lib, twin_sta);
+
+  const std::vector<CrossSgCandidate> cross = find_cross_sg_candidates(engine.partition(), net);
+  const std::vector<SwapCandidate> swaps = enumerate_all_swaps(engine.partition(), net);
+  ASSERT_FALSE(cross.empty());
+  ASSERT_FALSE(swaps.empty());
+  GateId sized = kNullGate;
+  int cell = -1;
+  for (const GateId gate : net.gates()) {
+    if (!is_logic(net.type(gate)) || net.cell(gate) < 0) continue;
+    const std::vector<int> cands = resize_candidates(net, lib, gate);
+    if (cands.empty()) continue;
+    sized = gate;
+    cell = cands.front();
+    break;
+  }
+  ASSERT_NE(sized, kNullGate);
+
+  const EngineMove swap = EngineMove::swap(swaps.front());
+  const EngineMove resize = EngineMove::resize(sized, cell);
+  const EngineMove cross_move = EngineMove::cross_sg(cross.front());
+  EXPECT_EQ(swap.kind(), EngineMove::Kind::Swap);
+  EXPECT_EQ(resize.kind(), EngineMove::Kind::Resize);
+  EXPECT_EQ(cross_move.kind(), EngineMove::Kind::CrossSg);
+  EXPECT_EQ(swap.swap_cand(), swaps.front());
+  EXPECT_EQ(resize.gate(), sized);
+  EXPECT_EQ(resize.new_cell(), cell);
+  EXPECT_EQ(cross_move.cross_cand(), cross.front());
+  EXPECT_EQ(EngineMove{}.kind(), EngineMove::Kind::Swap);
+
+  // Copies compare equal to their originals and unequal across kinds and
+  // payloads.
+  const std::vector<EngineMove> originals = {swap, resize, cross_move};
+  for (std::size_t i = 0; i < originals.size(); ++i) {
+    const EngineMove copy = originals[i];
+    EXPECT_EQ(copy, originals[i]) << "move " << i;
+    for (std::size_t j = 0; j < originals.size(); ++j) {
+      if (j == i) continue;
+      EXPECT_FALSE(copy == originals[j]) << "moves " << i << ", " << j;
+    }
+  }
+  EXPECT_FALSE(EngineMove::resize(sized, cell) == EngineMove::resize(sized, cell + 1));
+  CrossSgCandidate other = cross.front();
+  other.inverting = !other.inverting;
+  EXPECT_FALSE(EngineMove::cross_sg(other) == cross_move);
+
+  // A copied CrossSg move shares the payload; a fresh move over an equal
+  // candidate compares equal but owns its own.
+  const EngineMove cross_copy = cross_move;
+  EXPECT_EQ(&cross_copy.cross_cand(), &cross_move.cross_cand());
+  const EngineMove rebuilt = EngineMove::cross_sg(cross.front());
+  EXPECT_EQ(rebuilt, cross_move);
+  EXPECT_NE(&rebuilt.cross_cand(), &cross_move.cross_cand());
+
+  // Probing a copy gives bit-identical objectives.
+  for (const EngineMove& m : originals) {
+    const EngineMove copy = m;
+    const EngineObjective a = engine.probe(m);
+    const EngineObjective b = engine.probe(copy);
+    EXPECT_EQ(a.critical, b.critical);
+    EXPECT_EQ(a.sum_po, b.sum_po);
+  }
+
+  // Committing copies on the twin leaves the same network and arrival bits
+  // as committing the originals. The swap comes from the partition
+  // re-extracted after the cross-supergate commit.
+  for (const EngineMove& m : {resize, cross_move}) {
+    const EngineMove copy = m;
+    const EngineObjective a = engine.commit(m);
+    const EngineObjective b = twin.commit(copy);
+    EXPECT_EQ(a.critical, b.critical);
+    EXPECT_EQ(a.sum_po, b.sum_po);
+  }
+  const std::vector<SwapCandidate> after = enumerate_all_swaps(engine.partition(), net);
+  ASSERT_FALSE(after.empty());
+  const EngineMove swap_after = EngineMove::swap(after.front());
+  const EngineMove swap_copy = swap_after;
+  EXPECT_EQ(engine.commit(swap_after).sum_po, twin.commit(swap_copy).sum_po);
+  EXPECT_EQ(engine.stats().swaps_committed, 1);
+  EXPECT_EQ(engine.stats().cross_sg_committed, 1);
+  EXPECT_EQ(engine.stats().resizes_committed, 1);
+  ASSERT_EQ(net.id_bound(), twin_net.id_bound());
+  for (GateId gate = 0; gate < net.id_bound(); ++gate) {
+    ASSERT_EQ(net.is_deleted(gate), twin_net.is_deleted(gate)) << "gate " << gate;
+    if (net.is_deleted(gate)) continue;
+    EXPECT_EQ(net.type(gate), twin_net.type(gate)) << "gate " << gate;
+    EXPECT_EQ(net.cell(gate), twin_net.cell(gate)) << "gate " << gate;
+    const auto fa = net.fanins(gate);
+    const auto fb = twin_net.fanins(gate);
+    EXPECT_TRUE(std::equal(fa.begin(), fa.end(), fb.begin(), fb.end())) << "gate " << gate;
+  }
+  EXPECT_TRUE(validate(net).empty());
+  ASSERT_EQ(sta.arrivals().size(), twin_sta.arrivals().size());
+  for (std::size_t i = 0; i < sta.arrivals().size(); ++i) {
+    EXPECT_EQ(sta.arrivals()[i].rise, twin_sta.arrivals()[i].rise) << "gate " << i;
+    EXPECT_EQ(sta.arrivals()[i].fall, twin_sta.arrivals()[i].fall) << "gate " << i;
+  }
 }
 
 TEST(RewireEngine, CommitBumpsEpochAndReextractsPartition) {

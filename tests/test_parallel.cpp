@@ -527,17 +527,19 @@ TEST(Scheduler, RoundCommitsImproveOrHold) {
   sopt.threads = 4;
   ParallelRewireScheduler sched(engine, session, sopt);
 
-  std::vector<ProbeGroup> groups;
+  std::vector<std::vector<EngineMove>> lists;
   const GisgPartition& part = engine.partition();
   for (std::size_t s = 0; s < part.sgs.size(); ++s) {
     if (part.sgs[s].is_trivial()) continue;
-    ProbeGroup g;
+    std::vector<EngineMove> g;
     for (const SwapCandidate& c :
          enumerate_swaps(part, static_cast<int>(s), net)) {
-      g.moves.push_back(EngineMove::swap(c));
+      g.push_back(EngineMove::swap(c));
     }
-    if (!g.moves.empty()) groups.push_back(std::move(g));
+    if (!g.empty()) lists.push_back(std::move(g));
   }
+
+  const std::vector<ProbeGroup> groups(lists.begin(), lists.end());
 
   const double before = sta.critical_delay();
   const int committed = sched.run_round(groups, ProbePolicy::MinCritical, 1e-6);

@@ -330,11 +330,12 @@ TEST(CriticalPathPruning, OnlyNonNegativeMinCriticalRoundsPrune) {
   Placement pl = place(net, lib, popt);
   Sta sta(net, lib, pl);
   RewireEngine engine(net, pl, lib, sta);
-  std::vector<ProbeGroup> groups;
+  std::vector<std::vector<EngineMove>> lists;
   for (const EngineMove& m : all_moves(engine, lib)) {
-    if (groups.empty() || groups.back().moves.size() == 8) groups.emplace_back();
-    groups.back().moves.push_back(m);
+    if (lists.empty() || lists.back().size() == 8) lists.emplace_back();
+    lists.back().push_back(m);
   }
+  const std::vector<ProbeGroup> groups(lists.begin(), lists.end());
   SessionContext session("default");
   for (const int threads : {1, 2}) {
     SchedulerOptions sopt;
