@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <fstream>
 #include <iterator>
 #include <optional>
 #include <sstream>
@@ -11,9 +12,12 @@
 #include "gen/suite.hpp"
 #include "io/bench_reader.hpp"
 #include "io/blif_reader.hpp"
+#include "io/blif_writer.hpp"
+#include "io/placement_io.hpp"
 #include "mapping/mapper.hpp"
 #include "session/session.hpp"
 #include "trace/metrics.hpp"
+#include "trace/provenance.hpp"
 #include "trace/trace.hpp"
 #include "util/assert.hpp"
 #include "util/log.hpp"
@@ -87,8 +91,11 @@ Network load_circuit(const std::string& spec) {
     LargeCircuitOptions lopt;
     const std::string body = spec.substr(4);
     const std::size_t colon = body.find(':');
-    lopt.target_gates = static_cast<std::size_t>(std::stoull(body.substr(0, colon)));
-    if (colon != std::string::npos) lopt.seed = std::stoull(body.substr(colon + 1));
+    lopt.target_gates = static_cast<std::size_t>(
+        parse_flag_value<std::uint64_t>(spec, body.substr(0, colon)));
+    if (colon != std::string::npos) {
+      lopt.seed = parse_flag_value<std::uint64_t>(spec, body.substr(colon + 1));
+    }
     return make_large_circuit(lopt);
   }
   return make_benchmark(spec);
@@ -99,13 +106,14 @@ bool parse_optimizer_flag(const std::vector<std::string>& args, std::size_t& i,
   const std::string& a = args[i];
   const auto next_int = [&]() {
     if (i + 1 >= args.size()) throw InputError("missing value after " + a);
-    return std::stoi(args[++i]);
+    return parse_flag_value<int>(a, args[++i]);
   };
   if (a == "--threads") {
     opt.threads = next_int();
     if (opt.threads < 1) throw InputError("--threads must be >= 1");
   } else if (a == "--iters") {
     opt.max_iterations = next_int();
+    if (opt.max_iterations < 0) throw InputError("--iters must be >= 0");
   } else if (a == "--paranoid") {
     opt.paranoid = true;
   } else if (a == "--no-sat-session") {
@@ -136,6 +144,50 @@ void apply_optimizer_flags(const std::string& flags, OptimizerOptions& opt) {
       throw InputError("not an optimizer flag: " + args[i]);
     }
   }
+}
+
+FlowJob parse_flow_args(const std::vector<std::string>& args) {
+  FlowJob job;
+  FlowOptions& options = job.options;
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    if (parse_optimizer_flag(args, i, options.opt)) continue;
+    const std::string& a = args[i];
+    auto next = [&]() -> const std::string& {
+      if (i + 1 >= args.size()) throw InputError("missing value after " + a);
+      return args[++i];
+    };
+    if (a == "--mode") {
+      job.mode = parse_opt_mode(next());
+    } else if (a == "--seed") {
+      options.placer.seed = parse_flag_value<std::uint64_t>(a, next());
+    } else if (a == "--effort") {
+      options.placer.effort = parse_flag_value<double>(a, next());
+    } else if (a == "--buffers") {
+      job.buffers = true;
+    } else if (a == "--out") {
+      job.out_blif = next();
+    } else if (a == "--place-out") {
+      job.out_place = next();
+    } else if (a == "--no-verify") {
+      options.verify = false;
+    } else if (a == "--sat-verify") {
+      options.verify_sat = true;
+    } else if (a == "--trace") {
+      job.out_trace = next();
+    } else if (a == "--metrics-json") {
+      job.out_metrics = next();
+    } else if (a == "--provenance") {
+      job.out_provenance = next();
+    } else if (!a.empty() && a[0] == '-') {
+      throw InputError("unknown flag: " + a);
+    } else if (!job.target.empty()) {
+      throw InputError("flow: more than one circuit given: " + job.target + ", " + a);
+    } else {
+      job.target = a;
+    }
+  }
+  if (job.target.empty()) throw InputError("flow: no circuit given");
+  return job;
 }
 
 PreparedCircuit prepare_benchmark(const std::string& suite_name, const CellLibrary& lib,
@@ -270,6 +322,81 @@ ModeRun run_mode(PreparedCircuit&& prepared, const CellLibrary& lib, OptMode mod
   run_mode_impl(run, placement, options.verify ? &reference : nullptr, clone_seconds,
                 prepared.name, lib, mode, options);
   return run;
+}
+
+FlowJobResult run_flow_job(const FlowJob& job, const CellLibrary& lib,
+                           SessionContext& session) {
+  const SessionScope scope(session);
+  FlowOptions options = job.options;
+  options.opt.session = &session;
+  // Observation-only instrumentation: enabled before any flow stage runs so
+  // map/place land on the trace too. Neither recorder feeds anything back
+  // into the optimization — the netlist is byte-identical with them off.
+  if (!job.out_trace.empty()) session.tracer().enable(std::max(options.opt.threads, 1));
+  if (!job.out_provenance.empty()) session.provenance().enable();
+
+  MetricsRegistry& metrics = session.metrics();
+  PreparedCircuit prepared = [&] {
+    const Timer timer;
+    const Network src = load_circuit(job.target);
+    metrics.set_gauge("time.read_s", timer.seconds());
+    return prepare_circuit(job.target, src, lib, options);
+  }();
+  FlowJobResult out;
+  out.cells = prepared.mapped.num_logic_gates();
+  out.initial_delay = prepared.initial_delay;
+
+  // Only the buffer pass and the placement dump still need the prepared
+  // circuit after optimization; otherwise move-adopt it (no whole-network
+  // clone).
+  const bool keep_prepared = job.buffers || !job.out_place.empty();
+  ModeRun run = keep_prepared ? run_mode(prepared, lib, job.mode, options)
+                              : run_mode(std::move(prepared), lib, job.mode, options);
+  const auto open_out = [](const std::string& path) {
+    std::ofstream os(path);
+    if (!os) throw InputError("cannot write " + path);
+    return os;
+  };
+  if (!job.out_trace.empty()) {
+    session.tracer().disable();  // workers are quiescent; freeze before exporting
+    std::ofstream os = open_out(job.out_trace);
+    session.tracer().write_chrome_trace(os);
+  }
+  if (job.buffers) {
+    Placement pl = prepared.placement;
+    Sta sta(run.optimized, lib, pl);
+    out.fanout = optimize_fanout(run.optimized, pl, lib, sta);
+  }
+  // The BLIF goes out before the metrics file, so its write time is in it.
+  if (!job.out_blif.empty()) {
+    const Timer timer;
+    write_blif_file(run.optimized, job.out_blif, job.target);
+    metrics.set_gauge("time.write_s", timer.seconds());
+  }
+  metrics.set_label("circuit", job.target);
+  metrics.set_label("mode", to_string(job.mode));
+  metrics.set_label("threads", std::to_string(run.result.threads));
+  if (!job.out_metrics.empty()) {
+    std::ofstream os = open_out(job.out_metrics);
+    metrics.write_json(os);
+  }
+  if (!job.out_provenance.empty()) {
+    ProvenanceLog& prov = session.provenance();
+    prov.disable();
+    std::string diag;
+    out.provenance_chains = prov.resolve_committed_chains(&diag);
+    if (out.provenance_chains < 0) {
+      throw InternalError(session.id() + ": provenance self-check failed: " + diag);
+    }
+    std::ofstream os = open_out(job.out_provenance);
+    prov.write_json(os);
+  }
+  if (!job.out_place.empty()) {
+    write_placement_file(prepared.mapped, prepared.placement, job.out_place);
+  }
+  out.result = std::move(run.result);
+  out.verified = run.verified;
+  return out;
 }
 
 BenchmarkRow produce_table1_row(const PreparedCircuit& prepared, const CellLibrary& lib,

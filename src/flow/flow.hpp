@@ -4,19 +4,28 @@
 //
 // produce_table1_row() reruns the three optimizers from the same mapped,
 // placed starting point, exactly as Table 1 compares them.
+//
+// A FlowJob is one whole run with its artifacts: `rapids flow` parses its
+// arguments into one (parse_flow_args), a `rapids serve` job line maps
+// onto the same arguments, and both run it through run_flow_job.
 #pragma once
 
+#include <charconv>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "library/cell_library.hpp"
 #include "netlist/network.hpp"
+#include "opt/fanout_opt.hpp"
 #include "opt/metrics.hpp"
 #include "opt/optimizer.hpp"
 #include "place/placer.hpp"
 #include "timing/sta.hpp"
+#include "util/assert.hpp"
 
 namespace rapids {
 
@@ -37,6 +46,8 @@ struct FlowOptions {
   /// Placer effort shrink for very large circuits (moves scale down when
   /// cells > threshold; keeps the 19-circuit table under a few minutes).
   std::size_t reduce_effort_above = 4000;
+
+  bool operator==(const FlowOptions&) const = default;
 };
 
 /// A mapped + placed circuit ready for optimization experiments.
@@ -52,6 +63,23 @@ struct PreparedCircuit {
 /// synthetic large-circuit profile) or a built-in suite name.
 Network load_circuit(const std::string& spec);
 
+/// The value of `flag` (a flag or serve key name) read from the whole of
+/// `text`: "1x", "" and, for an unsigned T, any sign throw an InputError
+/// naming `flag`.
+template <typename T>
+T parse_flag_value(const std::string& flag, const std::string& text) {
+  T value{};
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end) {
+    const char* kind = std::is_floating_point_v<T> ? "a number"
+                       : std::is_unsigned_v<T>     ? "an unsigned integer"
+                                                   : "an integer";
+    throw InputError("bad value for " + flag + ": '" + text + "' (expected " + kind + ")");
+  }
+  return value;
+}
+
 /// If args[i] is a `rapids flow` flag that sets OptimizerOptions (--threads,
 /// --iters, --paranoid and the A/B levers), applies it, steps i past its
 /// value and returns true; otherwise returns false.
@@ -61,6 +89,45 @@ bool parse_optimizer_flag(const std::vector<std::string>& args, std::size_t& i,
 /// Applies optimizer flags ("--threads 4 --no-delta-sync"); any other
 /// token throws InputError.
 void apply_optimizer_flags(const std::string& flags, OptimizerOptions& opt);
+
+/// One `rapids flow` run or served job: the circuit, the optimizer mode,
+/// the flow options and where its artifacts go (empty = not written).
+struct FlowJob {
+  std::string target;  // a load_circuit spec
+  OptMode mode = OptMode::GsgPlusGS;
+  FlowOptions options;
+  bool buffers = false;  // fanout buffer insertion after optimization
+  std::string out_blif;
+  std::string out_metrics;
+  std::string out_provenance;
+  std::string out_trace;
+  std::string out_place;  // the placed pre-optimization netlist
+
+  bool operator==(const FlowJob&) const = default;
+};
+
+/// Parse `rapids flow` arguments (one circuit plus flags; see
+/// tools/rapids_cli.cpp). Unknown flags, malformed values and a missing or
+/// second circuit throw InputError.
+FlowJob parse_flow_args(const std::vector<std::string>& args);
+
+struct FlowJobResult {
+  std::size_t cells = 0;       // mapped cells placed
+  double initial_delay = 0.0;  // critical delay of the placed circuit
+  OptimizerResult result;
+  bool verified = true;        // equivalence check passed (true when skipped)
+  FanoutOptResult fanout;      // job.buffers only
+  int provenance_chains = 0;   // committed chains resolved (out_provenance only)
+};
+
+/// Run `job` on `session`: read -> prepare_circuit -> run_mode -> buffers,
+/// then write the trace, BLIF, metrics, provenance and placement it asks
+/// for. The session tags this thread's log lines for the call, and its
+/// registry holds the flow's metrics afterwards. A committed provenance
+/// chain that fails its self-check throws InternalError; a failed
+/// equivalence check does not throw (result.verified is false).
+FlowJobResult run_flow_job(const FlowJob& job, const CellLibrary& lib,
+                           SessionContext& session);
 
 /// Generate (by suite name) or adopt a network, then map and place it.
 PreparedCircuit prepare_circuit(const std::string& name, const Network& src,

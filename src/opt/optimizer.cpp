@@ -14,6 +14,7 @@
 #include "sym/gisg.hpp"
 #include "sym/symmetry.hpp"
 #include "trace/trace.hpp"
+#include "util/assert.hpp"
 #include "util/log.hpp"
 #include "util/timer.hpp"
 
@@ -29,6 +30,13 @@ const char* to_string(OptMode mode) {
       return "gsg+GS";
   }
   return "?";
+}
+
+OptMode parse_opt_mode(const std::string& name) {
+  if (name == "gsg") return OptMode::Gsg;
+  if (name == "gs" || name == "GS") return OptMode::GateSizing;
+  if (name == "gsg+gs" || name == "gsg+GS") return OptMode::GsgPlusGS;
+  throw InputError("unknown mode: " + name);
 }
 
 namespace {

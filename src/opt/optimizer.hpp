@@ -26,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "library/cell_library.hpp"
@@ -42,6 +43,10 @@ class SessionContext;
 enum class OptMode : std::uint8_t { Gsg, GateSizing, GsgPlusGS };
 
 const char* to_string(OptMode mode);
+
+/// The mode a `--mode` value names (gsg, gs or gsg+gs, GS in either case);
+/// anything else throws InputError.
+OptMode parse_opt_mode(const std::string& name);
 
 struct OptimizerOptions {
   OptMode mode = OptMode::GsgPlusGS;
@@ -116,6 +121,8 @@ struct OptimizerOptions {
   /// the public entry points (prepare_circuit, run_mode, optimize), which
   /// resolve it once into a call-local owned session.
   SessionContext* session = nullptr;
+
+  bool operator==(const OptimizerOptions&) const = default;
 };
 
 /// Quality of result: the paper's before/after delay and area, the moves

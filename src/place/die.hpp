@@ -10,6 +10,8 @@ struct DieSpec {
   double target_utilization = 0.70;
   double aspect_ratio = 1.0;     // height / width
   double io_margin = 5.0;        // pad offset outside the core, um
+
+  bool operator==(const DieSpec&) const = default;
 };
 
 /// Concrete die computed from total cell area and a DieSpec.

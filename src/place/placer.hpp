@@ -29,6 +29,8 @@ struct PlacerOptions {
   int num_temps = 24;
   /// Optional per-net weights (indexed by driver GateId); empty = uniform.
   std::vector<double> net_weights;
+
+  bool operator==(const PlacerOptions&) const = default;
 };
 
 /// Place all live gates of `net`. Logic gates (and Consts) go into rows;

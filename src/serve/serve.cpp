@@ -1,26 +1,22 @@
 #include "serve/serve.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <condition_variable>
 #include <deque>
-#include <fstream>
+#include <iterator>
 #include <mutex>
 #include <ostream>
 #include <sstream>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #ifdef __GLIBC__
 #include <malloc.h>
 #endif
 
-#include "flow/flow.hpp"
-#include "io/blif_writer.hpp"
 #include "library/cell_library.hpp"
 #include "session/session.hpp"
-#include "trace/metrics.hpp"
-#include "trace/provenance.hpp"
 #include "util/assert.hpp"
 #include "util/timer.hpp"
 
@@ -28,12 +24,17 @@ namespace rapids {
 
 namespace {
 
-OptMode parse_mode(const std::string& m, const std::string& where) {
-  if (m == "gsg") return OptMode::Gsg;
-  if (m == "gs" || m == "GS") return OptMode::GateSizing;
-  if (m == "gsg+gs" || m == "gsg+GS") return OptMode::GsgPlusGS;
-  throw InputError(where + ": unknown mode: " + m);
-}
+/// Each job key and the `rapids flow` flag it stands for. verify= is the
+/// one switch key: verify=0 (or false) is --no-verify.
+struct KeyFlag {
+  const char* key;
+  const char* flag;
+};
+constexpr KeyFlag kKeyFlags[] = {
+    {"mode", "--mode"},   {"seed", "--seed"},       {"effort", "--effort"},
+    {"iters", "--iters"}, {"threads", "--threads"}, {"out", "--out"},
+    {"metrics", "--metrics-json"}, {"provenance", "--provenance"},
+};
 
 /// The one cell library of a serve process, built on first use and shared
 /// read-only by every job (CellLibrary holds no mutable state).
@@ -56,15 +57,16 @@ void release_freed_memory() {
 ServeJob parse_serve_job(const std::string& line, int index) {
   const std::string where = "job " + std::to_string(index);
   std::istringstream ss(line);
-  std::vector<std::string> tokens;
-  for (std::string tok; ss >> tok;) tokens.push_back(std::move(tok));
+  const std::vector<std::string> tokens{std::istream_iterator<std::string>(ss), {}};
   if (tokens.size() < 2) {
     throw InputError(where + ": expected '<id> <circuit> [key=value ...]', got: " +
                      line);
   }
-  ServeJob job;
-  job.id = tokens[0];
-  job.circuit = tokens[1];
+  if (tokens[1][0] == '-') {
+    throw InputError(where + ": a circuit cannot start with '-': " + tokens[1]);
+  }
+  std::vector<std::string> args = {tokens[1]};
+  bool verify = true;  // the last verify= wins, like every other key
   for (std::size_t i = 2; i < tokens.size(); ++i) {
     const std::string& kv = tokens[i];
     const std::size_t eq = kv.find('=');
@@ -73,36 +75,25 @@ ServeJob parse_serve_job(const std::string& line, int index) {
     }
     const std::string key = kv.substr(0, eq);
     const std::string value = kv.substr(eq + 1);
-    try {
-      if (key == "mode") {
-        job.mode = parse_mode(value, where);
-      } else if (key == "seed") {
-        job.seed = std::stoull(value);
-      } else if (key == "effort") {
-        job.effort = std::stod(value);
-      } else if (key == "iters") {
-        job.iters = std::stoi(value);
-      } else if (key == "threads") {
-        job.threads = std::stoi(value);
-        if (job.threads < 1) throw InputError(where + ": threads must be >= 1");
-      } else if (key == "verify") {
-        job.verify = value != "0" && value != "false";
-      } else if (key == "out") {
-        job.out_blif = value;
-      } else if (key == "metrics") {
-        job.out_metrics = value;
-      } else if (key == "provenance") {
-        job.out_provenance = value;
-      } else {
-        throw InputError(where + ": unknown key: " + key);
+    if (key == "verify") {
+      if (value != "0" && value != "1" && value != "false" && value != "true") {
+        throw InputError(where + ": verify must be 0, 1, true or false, got: " + value);
       }
-    } catch (const std::invalid_argument&) {
-      throw InputError(where + ": bad value for " + key + ": " + value);
-    } catch (const std::out_of_range&) {
-      throw InputError(where + ": bad value for " + key + ": " + value);
+      verify = value == "1" || value == "true";
+      continue;
     }
+    const auto row = std::find_if(std::begin(kKeyFlags), std::end(kKeyFlags),
+                                  [&key](const KeyFlag& r) { return key == r.key; });
+    if (row == std::end(kKeyFlags)) throw InputError(where + ": unknown key: " + key);
+    args.emplace_back(row->flag);
+    args.push_back(value);
   }
-  return job;
+  if (!verify) args.emplace_back("--no-verify");
+  try {
+    return {tokens[0], parse_flow_args(args)};
+  } catch (const InputError& e) {
+    throw InputError(where + ": " + e.what());
+  }
 }
 
 ServeJobResult run_serve_job(const ServeJob& job) {
@@ -112,64 +103,12 @@ ServeJobResult run_serve_job(const ServeJob& job) {
   try {
     // One owned session per job: private tracer/provenance/metrics and a
     // persistent worker pool, so concurrent jobs share no mutable
-    // observability state. The scope tags this thread's log lines with the
-    // job id for the job's duration and restores the caller's tag on every
-    // exit path.
+    // observability state. run_flow_job tags this thread's log lines with
+    // the job id for the job's duration.
     SessionContext session(job.id);
-    SessionScope scope(session);
-    if (!job.out_provenance.empty()) session.provenance().enable();
-
-    FlowOptions options;
-    options.opt.session = &session;
-    options.placer.seed = job.seed;
-    options.placer.effort = job.effort;
-    options.opt.max_iterations = job.iters;
-    options.opt.threads = job.threads;
-    options.verify = job.verify;
-
-    const CellLibrary& lib = serve_library();
-    MetricsRegistry& metrics = session.metrics();
-    Network src;
-    {
-      const Timer read_timer;
-      src = load_circuit(job.circuit);
-      metrics.set_gauge("time.read_s", read_timer.seconds());
-    }
-    PreparedCircuit prepared = prepare_circuit(job.circuit, src, lib, options);
-    // Move-adopt, exactly like the one-shot CLI's default path: the flow
-    // optimizes the mapped network in place; run_mode collected the flow
-    // metrics into session.metrics().
-    ModeRun run = run_mode(std::move(prepared), lib, job.mode, options);
-
-    metrics.set_label("circuit", job.circuit);
-    metrics.set_label("mode", to_string(job.mode));
-    metrics.set_label("threads", std::to_string(run.result.threads));
-
-    if (!job.out_blif.empty()) {
-      // Same model name as `rapids flow --out`: byte-identical artifacts.
-      const Timer write_timer;
-      write_blif_file(run.optimized, job.out_blif, job.circuit);
-      metrics.set_gauge("time.write_s", write_timer.seconds());
-    }
-    if (!job.out_metrics.empty()) {
-      std::ofstream os(job.out_metrics);
-      if (!os) throw InputError("cannot write " + job.out_metrics);
-      metrics.write_json(os);
-    }
-    if (!job.out_provenance.empty()) {
-      ProvenanceLog& prov = session.provenance();
-      prov.disable();
-      std::string diag;
-      if (prov.resolve_committed_chains(&diag) < 0) {
-        throw InternalError(job.id + ": provenance self-check failed: " + diag);
-      }
-      std::ofstream os(job.out_provenance);
-      if (!os) throw InputError("cannot write " + job.out_provenance);
-      prov.write_json(os);
-    }
-
+    const FlowJobResult run = run_flow_job(job.flow, serve_library(), session);
     res.ok = true;
-    res.verified = !job.verify || run.verified;
+    res.verified = run.verified;
     res.initial_delay = run.result.initial_delay;
     res.final_delay = run.result.final_delay;
     res.swaps_committed = run.result.swaps_committed;
@@ -181,27 +120,6 @@ ServeJobResult run_serve_job(const ServeJob& job) {
   }
   res.seconds = timer.seconds();
   return res;
-}
-
-std::vector<ServeJobResult> serve_batch(const std::vector<ServeJob>& jobs,
-                                        const ServeOptions& options) {
-  std::vector<ServeJobResult> results(jobs.size());
-  std::atomic<std::size_t> next{0};
-  auto worker = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= jobs.size()) return;
-      results[i] = run_serve_job(jobs[i]);
-      release_freed_memory();
-    }
-  };
-  const int n = std::max(1, std::min<int>(options.max_concurrent,
-                                          static_cast<int>(jobs.size())));
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) threads.emplace_back(worker);
-  for (std::thread& t : threads) t.join();
-  return results;
 }
 
 int serve_loop(std::istream& in, std::ostream& out, const ServeOptions& options) {

@@ -17,40 +17,34 @@
 //
 //   id        session id; names the job in every emitted artifact
 //   circuit   suite name | file.blif | file.bench | gen:<gates>[:seed]
-//   keys      mode=gsg|gs|gsg+gs   seed=N   effort=F   iters=N   threads=N
-//             verify=0|1           out=file.blif
-//             metrics=file.json    provenance=file.json
 //
-// Unset keys take the exact `rapids flow` defaults, so a job line maps
-// 1:1 onto a one-shot invocation. `metrics=`/`provenance=` dump the job's
-// session registry / provenance log as JSON keyed by the session id
-// (labels["session.id"] / the top-level "session" field).
+// Each key stands for one `rapids flow` flag, and the line parses through
+// the same parse_flow_args as a one-shot run:
+//
+//   mode=gsg|gs|gsg+gs  --mode        out=file.blif          --out
+//   seed=N              --seed        metrics=file.json      --metrics-json
+//   effort=F            --effort      provenance=file.json   --provenance
+//   iters=N             --iters       verify=0|1|true|false  --no-verify when 0/false
+//   threads=N           --threads
+//
+// So an unset key is the FlowJob default by construction, a job line maps
+// 1:1 onto a one-shot invocation, and both run through run_flow_job.
+// `metrics=`/`provenance=` dump the job's session registry / provenance
+// log as JSON keyed by the session id (labels["session.id"] / the
+// top-level "session" field).
 #pragma once
 
-#include <cstdint>
 #include <iosfwd>
 #include <string>
-#include <vector>
 
-#include "opt/optimizer.hpp"
+#include "flow/flow.hpp"
 
 namespace rapids {
 
-/// One parsed job line. Defaults mirror `rapids flow` exactly (see
-/// PlacerOptions / OptimizerOptions / FlowOptions), so an unset key means
-/// "what the one-shot CLI would have done".
+/// One parsed job line: its session id and the flow it runs.
 struct ServeJob {
   std::string id;
-  std::string circuit;
-  OptMode mode = OptMode::GsgPlusGS;
-  std::uint64_t seed = 1;   // PlacerOptions{}.seed
-  double effort = 8.0;      // PlacerOptions{}.effort
-  int iters = 6;            // OptimizerOptions{}.max_iterations
-  int threads = 1;
-  bool verify = true;
-  std::string out_blif;
-  std::string out_metrics;
-  std::string out_provenance;
+  FlowJob flow;
 };
 
 /// Parse one job line (see the file comment for the format). Throws
@@ -70,9 +64,10 @@ struct ServeJobResult {
   std::string error;  // non-empty when !ok
 };
 
-/// Run one job on its own owned SessionContext (created here, named
-/// job.id). Never throws: failures land in result.error. Safe to call
-/// concurrently from multiple threads — that is the point.
+/// Run one job through run_flow_job on its own owned SessionContext
+/// (created here, named job.id) and the process's one cell library. Never
+/// throws: failures land in result.error. Safe to call concurrently from
+/// multiple threads — that is the point.
 ServeJobResult run_serve_job(const ServeJob& job);
 
 struct ServeOptions {
@@ -80,11 +75,6 @@ struct ServeOptions {
   /// workers out on its session's own pool (job `threads=` key).
   int max_concurrent = 2;
 };
-
-/// Run a batch of jobs, at most options.max_concurrent concurrently.
-/// Results are indexed like `jobs` regardless of completion order.
-std::vector<ServeJobResult> serve_batch(const std::vector<ServeJob>& jobs,
-                                        const ServeOptions& options = {});
 
 /// The long-lived loop: read job lines from `in` until EOF or a line
 /// reading "quit", dispatching each job as it arrives (up to

@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "flow/flow.hpp"
-#include "serve/serve.hpp"
 #include "test_helpers.hpp"
 #include "util/json_lite.hpp"
 
@@ -45,9 +44,9 @@ TEST(Flow, PrepareCircuitRecordsSetupStageTimes) {
 }
 
 TEST(Flow, StageTimersCoverReadVerifyAndWrite) {
-  // run_mode times verification (the reference clone included); a serve
-  // job, like `rapids flow`, also times the circuit read and the BLIF
-  // write, and writes the BLIF before its metrics file.
+  // run_mode times verification (the reference clone included); a flow
+  // job (`rapids flow` or a served job) also times the circuit read and
+  // the BLIF write, and writes the BLIF before its metrics file.
   SessionContext session("verify");
   const FlowOptions options = rapids::testing::session_flow_options(session, fast_flow());
   (void)run_mode(prepare_benchmark("c432", lib035(), options), lib035(),
@@ -55,11 +54,11 @@ TEST(Flow, StageTimersCoverReadVerifyAndWrite) {
   EXPECT_GT(session.metrics().gauge("time.verify_s"), 0.0);
 
   const std::string dir = ::testing::TempDir();
-  const ServeJobResult job = run_serve_job(parse_serve_job(
-      "stage c432 effort=1 iters=1 out=" + dir + "stage.blif metrics=" + dir +
-          "stage.metrics.json",
-      0));
-  ASSERT_TRUE(job.ok) << job.error;
+  SessionContext stage("stage");
+  (void)run_flow_job(parse_flow_args({"c432", "--effort", "1", "--iters", "1", "--out",
+                                      dir + "stage.blif", "--metrics-json",
+                                      dir + "stage.metrics.json"}),
+                     lib035(), stage);
   std::ifstream is(dir + "stage.metrics.json");
   std::ostringstream text;
   text << is.rdbuf();
@@ -69,6 +68,42 @@ TEST(Flow, StageTimersCoverReadVerifyAndWrite) {
     ASSERT_NE(gauges.find(gauge), nullptr) << gauge;
     EXPECT_GT(gauges.find(gauge)->as_number(), 0.0) << gauge;
   }
+}
+
+TEST(Flow, ArgsRejectMalformedValues) {
+  // Whole tokens only, and the error names the flag. Each of these used to
+  // run (--iters 1x as 1 iteration, --threads 2abc on 2 threads) or die
+  // with a bare "stoull".
+  const auto rejects = [](const std::vector<std::string>& args, const std::string& what) {
+    try {
+      (void)parse_flow_args(args);
+      ADD_FAILURE() << what << ": accepted";
+    } catch (const InputError& e) {
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos) << e.what();
+    }
+  };
+  rejects({"c432", "--iters", "1x"}, "--iters");
+  rejects({"c432", "--iters", "-1"}, "--iters");
+  rejects({"c432", "--seed", "abc"}, "--seed");
+  rejects({"c432", "--seed", "-1"}, "--seed");
+  rejects({"c432", "--threads", "2abc"}, "--threads");
+  rejects({"c432", "--threads", "0"}, "--threads");
+  rejects({"c432", "--effort", "2.5x"}, "--effort");
+  rejects({"c432", "--effort", ""}, "--effort");
+  rejects({"c432", "--mode", "fast"}, "unknown mode");
+  rejects({"c432", "--seed"}, "missing value after --seed");
+  rejects({"c432", "--frobnicate"}, "unknown flag");
+  rejects({"c432", "c499"}, "more than one circuit");
+  rejects({"--paranoid"}, "no circuit");
+
+  const FlowJob job = parse_flow_args(
+      {"--seed", "18446744073709551615", "gen:300:2", "--effort", "nan", "--iters", "0"});
+  EXPECT_EQ(job.target, "gen:300:2");
+  EXPECT_EQ(job.options.placer.seed, 18446744073709551615ull);
+  EXPECT_EQ(job.options.opt.max_iterations, 0);
+  // load_circuit's gen: spec reads its numbers the same way.
+  EXPECT_THROW((void)load_circuit("gen:12x"), InputError);
+  EXPECT_THROW((void)load_circuit("gen:300:-2"), InputError);
 }
 
 TEST(Flow, RunModeVerifiesEquivalence) {

@@ -1,6 +1,6 @@
-// rapids serve: job-line parsing, the concurrent batch driver, and the
-// contract that a served job's artifacts are byte-identical to the
-// equivalent one-shot flow.
+// rapids serve: job-line parsing onto `rapids flow` arguments, the
+// concurrent serve loop, and the contract that a served job's artifacts
+// are byte-identical to the equivalent one-shot flow.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,8 +10,8 @@
 #include <vector>
 
 #include "flow/flow.hpp"
-#include "io/blif_writer.hpp"
 #include "serve/serve.hpp"
+#include "session/session.hpp"
 #include "test_helpers.hpp"
 #include "util/assert.hpp"
 #include "util/log.hpp"
@@ -35,28 +35,34 @@ TEST(Serve, ParsesFullJobLine) {
       "out=a.blif metrics=m.json provenance=p.json",
       0);
   EXPECT_EQ(j.id, "job1");
-  EXPECT_EQ(j.circuit, "c432");
-  EXPECT_EQ(j.mode, OptMode::Gsg);
-  EXPECT_EQ(j.seed, 7u);
-  EXPECT_DOUBLE_EQ(j.effort, 2.5);
-  EXPECT_EQ(j.iters, 3);
-  EXPECT_EQ(j.threads, 2);
-  EXPECT_FALSE(j.verify);
-  EXPECT_EQ(j.out_blif, "a.blif");
-  EXPECT_EQ(j.out_metrics, "m.json");
-  EXPECT_EQ(j.out_provenance, "p.json");
+  EXPECT_EQ(j.flow.target, "c432");
+  EXPECT_EQ(j.flow.mode, OptMode::Gsg);
+  EXPECT_EQ(j.flow.options.placer.seed, 7u);
+  EXPECT_DOUBLE_EQ(j.flow.options.placer.effort, 2.5);
+  EXPECT_EQ(j.flow.options.opt.max_iterations, 3);
+  EXPECT_EQ(j.flow.options.opt.threads, 2);
+  EXPECT_FALSE(j.flow.options.verify);
+  EXPECT_EQ(j.flow.out_blif, "a.blif");
+  EXPECT_EQ(j.flow.out_metrics, "m.json");
+  EXPECT_EQ(j.flow.out_provenance, "p.json");
 }
 
-TEST(Serve, DefaultsMirrorOneShotFlow) {
-  const ServeJob j = parse_serve_job("j c499", 0);
-  const FlowOptions flow_defaults;
-  EXPECT_EQ(j.mode, OptMode::GsgPlusGS);
-  EXPECT_EQ(j.seed, flow_defaults.placer.seed);
-  EXPECT_DOUBLE_EQ(j.effort, flow_defaults.placer.effort);
-  EXPECT_EQ(j.iters, flow_defaults.opt.max_iterations);
-  EXPECT_EQ(j.threads, flow_defaults.opt.threads);
-  EXPECT_TRUE(j.verify);
-  EXPECT_TRUE(j.out_blif.empty());
+TEST(Serve, JobLineParsesLikeFlowArgs) {
+  // Every key maps onto its `rapids flow` flag through the one parser, so
+  // a job line and the equivalent one-shot arguments are the same FlowJob,
+  // and an unset key is the flow default.
+  EXPECT_EQ(parse_serve_job("j c432 mode=gsg seed=7 effort=2.5 iters=3 threads=2 "
+                            "verify=0 out=a.blif metrics=m.json provenance=p.json",
+                            0)
+                .flow,
+            parse_flow_args({"c432", "--mode", "gsg", "--seed", "7", "--effort", "2.5",
+                             "--iters", "3", "--threads", "2", "--no-verify", "--out",
+                             "a.blif", "--metrics-json", "m.json", "--provenance",
+                             "p.json"}));
+  EXPECT_EQ(parse_serve_job("j c499", 0).flow, parse_flow_args({"c499"}));
+  // verify= is a switch: the last one wins, like every other key.
+  EXPECT_EQ(parse_serve_job("j c499 verify=0 verify=true", 0).flow,
+            parse_flow_args({"c499"}));
 }
 
 TEST(Serve, RejectsMalformedJobLines) {
@@ -66,6 +72,32 @@ TEST(Serve, RejectsMalformedJobLines) {
   EXPECT_THROW(parse_serve_job("id ckt seed=notanumber", 0), InputError);
   EXPECT_THROW(parse_serve_job("id ckt mode=frobnicate", 0), InputError);
   EXPECT_THROW(parse_serve_job("id ckt threads=0", 0), InputError);
+  // Whole tokens only: no trailing junk, no sign on an unsigned value, and
+  // verify= takes 0|1|true|false. Each of these used to be accepted.
+  EXPECT_THROW(parse_serve_job("id ckt seed=-1", 0), InputError);
+  EXPECT_THROW(parse_serve_job("id ckt iters=1x", 0), InputError);
+  EXPECT_THROW(parse_serve_job("id ckt verify=maybe", 0), InputError);
+  EXPECT_THROW(parse_serve_job("id ckt threads=2abc", 0), InputError);
+  EXPECT_THROW(parse_serve_job("id ckt effort=", 0), InputError);
+  // A circuit token cannot smuggle in a flow flag.
+  EXPECT_THROW(parse_serve_job("id --paranoid", 0), InputError);
+  // The error names the job and the flag its key stands for.
+  try {
+    parse_serve_job("id ckt iters=1x", 3);
+    FAIL() << "iters=1x accepted";
+  } catch (const InputError& e) {
+    EXPECT_NE(std::string(e.what()).find("job 3: bad value for --iters: '1x'"),
+              std::string::npos)
+        << e.what();
+  }
+  // The line perfbench sends still parses.
+  const ServeJob perf = parse_serve_job(
+      "p0calu2 /tmp/s/alu2.blif seed=1000 threads=1 verify=1 out=/tmp/o/p0calu2.blif "
+      "metrics=/tmp/o/p0calu2.json",
+      0);
+  EXPECT_EQ(perf.flow.options.placer.seed, 1000u);
+  EXPECT_TRUE(perf.flow.options.verify);
+  EXPECT_EQ(perf.flow.out_metrics, "/tmp/o/p0calu2.json");
 }
 
 TEST(Serve, ProcessLogLevelReachesServedJobs) {
@@ -115,40 +147,39 @@ TEST(Serve, NanEffortFailsTheJobAndServingContinues) {
 
 TEST(ServeSlow, BatchJobsMatchOneShotFlows) {
   const std::string dir = ::testing::TempDir();
-  std::vector<ServeJob> jobs = {
-      parse_serve_job("sj1 c432 seed=5 effort=1 iters=2 threads=2 out=" + dir +
-                          "sj1.blif metrics=" + dir + "sj1.metrics.json",
-                      0),
-      parse_serve_job("sj2 c499 seed=9 effort=1 iters=2 out=" + dir +
-                          "sj2.blif provenance=" + dir + "sj2.prov.json",
-                      1),
+  const std::vector<std::string> lines = {
+      "sj1 c432 seed=5 effort=1 iters=2 threads=2 out=" + dir + "sj1.blif metrics=" +
+          dir + "sj1.metrics.json",
+      "sj2 c499 seed=9 effort=1 iters=2 out=" + dir + "sj2.blif provenance=" + dir +
+          "sj2.prov.json",
   };
+  std::istringstream in(lines[0] + "\n" + lines[1] + "\n");
+  std::ostringstream out;
   ServeOptions options;
   options.max_concurrent = 2;
-  const std::vector<ServeJobResult> results = serve_batch(jobs, options);
-  ASSERT_EQ(results.size(), 2u);
-  for (const ServeJobResult& r : results) {
-    EXPECT_TRUE(r.ok) << r.id << ": " << r.error;
-    EXPECT_TRUE(r.verified) << r.id;
-    EXPECT_GT(r.initial_delay, 0.0) << r.id;
+  EXPECT_EQ(serve_loop(in, out, options), 0) << out.str();
+  for (const char* id : {"sj1", "sj2"}) {
+    EXPECT_NE(out.str().find("[serve] " + std::string(id) + ": delay"), std::string::npos)
+        << out.str();
   }
 
-  // Reference: the same flows through the flow API directly (what the
-  // one-shot CLI runs), each on a call-local session — the served BLIF
-  // must match byte for byte.
-  for (const ServeJob& job : jobs) {
-    FlowOptions options_ref;
-    options_ref.placer.seed = job.seed;
-    options_ref.placer.effort = job.effort;
-    options_ref.opt.max_iterations = job.iters;
-    options_ref.opt.threads = job.threads;
-    PreparedCircuit prepared =
-        prepare_benchmark(job.circuit, lib035(), options_ref);
-    const ModeRun run =
-        run_mode(std::move(prepared), lib035(), job.mode, options_ref);
-    ASSERT_TRUE(run.verified) << job.id;
-    EXPECT_EQ(read_file(dir + job.id + ".blif"), blif_text(run.optimized, job.circuit))
-        << job.id;
+  // Reference: the same jobs run one at a time through run_flow_job (what
+  // `rapids flow` runs), writing their artifacts elsewhere: the served
+  // BLIF and provenance must match byte for byte.
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    const ServeJob served = parse_serve_job(lines[i], static_cast<int>(i));
+    FlowJob ref = served.flow;
+    ref.out_blif = dir + served.id + ".ref.blif";
+    ref.out_metrics.clear();
+    if (!ref.out_provenance.empty()) ref.out_provenance = dir + served.id + ".ref.prov.json";
+    SessionContext session(served.id);
+    const FlowJobResult run = run_flow_job(ref, lib035(), session);
+    ASSERT_TRUE(run.verified) << served.id;
+    EXPECT_EQ(read_file(served.flow.out_blif), read_file(ref.out_blif)) << served.id;
+    if (!ref.out_provenance.empty()) {
+      EXPECT_EQ(read_file(served.flow.out_provenance), read_file(ref.out_provenance))
+          << served.id;
+    }
   }
 
   // The per-session JSON artifacts are keyed by the job's session id.

@@ -38,7 +38,8 @@
 //       optimized netlist is byte-identical with them on or off. The flow
 //       runs on one SessionContext with id "default", which keys the
 //       metrics ("session.id") and provenance ("session") dumps and tags
-//       the flow's log lines.
+//       the flow's log lines. A committed provenance chain that fails its
+//       self-check fails the run (exit 1), as it fails a served job.
 //
 //   rapids serve [--jobs file] [--max-concurrent N]
 //       Long-lived multi-job driver: read job lines (`<id> <circuit>
@@ -46,8 +47,10 @@
 //       until EOF/"quit", run up to N flows concurrently — each on its own
 //       SessionContext (private tracer/metrics/provenance, persistent
 //       worker pool) — and write per-job artifacts keyed by session id.
-//       Each job's outputs are byte-identical to the equivalent one-shot
-//       `rapids flow` invocation; its log lines carry the job id as tag.
+//       A job line parses into the same FlowJob as the equivalent
+//       one-shot `rapids flow` invocation and runs through the same
+//       run_flow_job, so its outputs are byte-identical to that run's;
+//       its log lines carry the job id as tag.
 //
 //   rapids bench-diff <baseline.json> <current.json>
 //          [--fail-above pattern=pct]... [--fail-below pattern=pct]...
@@ -77,7 +80,8 @@
 //       Supergate / symmetry / redundancy report for a mapped circuit.
 //
 //   rapids table1 [--full|--quick] [--threads N] [circuit...]
-//       The Table 1 harness (same engine as bench/table1_rapids).
+//       The Table 1 harness: reruns gsg, GS and gsg+GS from one mapped,
+//       placed starting point per circuit and prints the paper's table.
 //
 //   rapids list
 //       Show the built-in benchmark suite.
@@ -95,21 +99,16 @@
 #include "flow/flow.hpp"
 #include "fuzz/fuzz.hpp"
 #include "gen/suite.hpp"
-#include "io/blif_writer.hpp"
-#include "io/placement_io.hpp"
 #include "library/cell_library.hpp"
 #include "mapping/mapper.hpp"
-#include "opt/fanout_opt.hpp"
 #include "serve/serve.hpp"
 #include "session/session.hpp"
 #include "sym/gisg.hpp"
 #include "sym/symmetry.hpp"
 #include "trace/bench_diff.hpp"
 #include "trace/metrics.hpp"
-#include "trace/provenance.hpp"
 #include "trace/trace.hpp"
 #include "util/log.hpp"
-#include "util/timer.hpp"
 
 namespace {
 
@@ -146,103 +145,30 @@ int cmd_symmetry(const std::string& target) {
 }
 
 int cmd_flow(const std::vector<std::string>& args) {
-  std::string target;
-  OptMode mode = OptMode::GsgPlusGS;
-  FlowOptions options;
-  bool buffers = false;
-  std::string out_blif, out_place;
-  std::string out_trace, out_metrics, out_provenance;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    auto next = [&]() -> std::string {
-      if (i + 1 >= args.size()) throw InputError("missing value after " + a);
-      return args[++i];
-    };
-    if (parse_optimizer_flag(args, i, options.opt)) continue;
-    if (a == "--mode") {
-      const std::string m = next();
-      if (m == "gsg") {
-        mode = OptMode::Gsg;
-      } else if (m == "gs" || m == "GS") {
-        mode = OptMode::GateSizing;
-      } else if (m == "gsg+gs" || m == "gsg+GS") {
-        mode = OptMode::GsgPlusGS;
-      } else {
-        throw InputError("unknown mode: " + m);
-      }
-    } else if (a == "--seed") {
-      options.placer.seed = std::stoull(next());
-    } else if (a == "--effort") {
-      options.placer.effort = std::stod(next());
-    } else if (a == "--buffers") {
-      buffers = true;
-    } else if (a == "--out") {
-      out_blif = next();
-    } else if (a == "--place-out") {
-      out_place = next();
-    } else if (a == "--no-verify") {
-      options.verify = false;
-    } else if (a == "--sat-verify") {
-      options.verify_sat = true;
-    } else if (a == "--trace") {
-      out_trace = next();
-    } else if (a == "--metrics-json") {
-      out_metrics = next();
-    } else if (a == "--provenance") {
-      out_provenance = next();
-    } else if (!a.empty() && a[0] == '-') {
-      throw InputError("unknown flag: " + a);
-    } else {
-      target = a;
-    }
-  }
-  if (target.empty()) throw InputError("flow: no circuit given");
-
+  const FlowJob job = parse_flow_args(args);
   // The one-shot flow runs on one session, built the way `rapids serve`
   // builds one per job; its id keys the metrics and provenance dumps and
   // tags this flow's log lines.
   SessionContext session("default");
-  SessionScope scope(session);
-  options.opt.session = &session;
-  // Observation-only instrumentation: enabled before any flow stage runs so
-  // map/place land on the trace too. Neither recorder feeds anything back
-  // into the optimization — the netlist is byte-identical with them off.
-  if (!out_trace.empty()) {
-    session.tracer().enable(std::max(options.opt.threads, 1));
-  }
-  if (!out_provenance.empty()) session.provenance().enable();
+  const FlowJobResult run = run_flow_job(job, builtin_library_035(), session);
+  std::cout << job.target << ": " << run.cells << " cells placed, initial delay "
+            << run.initial_delay << " ns\n";
 
-  const CellLibrary lib = builtin_library_035();
-  MetricsRegistry& reg = session.metrics();
-  Network src;
-  {
-    const Timer timer;
-    src = load_circuit(target);
-    reg.set_gauge("time.read_s", timer.seconds());
-  }
-  PreparedCircuit prepared = prepare_circuit(target, src, lib, options);
-  std::cout << target << ": " << prepared.mapped.num_logic_gates()
-            << " cells placed, initial delay " << prepared.initial_delay << " ns\n";
-
-  // Only the buffer pass and --place-out still need the prepared circuit
-  // after optimization; otherwise move-adopt it (no whole-network clone).
-  const bool keep_prepared = buffers || !out_place.empty();
-  ModeRun run = keep_prepared ? run_mode(prepared, lib, mode, options)
-                              : run_mode(std::move(prepared), lib, mode, options);
   // Summary lines read the session's registry, the one --metrics-json
   // writes (run_mode merged the run's metrics into it).
   const OptimizerResult& r = run.result;
+  const MetricsRegistry& reg = session.metrics();
   const auto count = [&reg](const char* name) { return reg.counter(name); };
   const auto secs = [&reg](const char* name) { return reg.gauge(name); };
   const std::uint64_t probes = count("engine.probes");
-  std::cout << to_string(mode) << ": delay " << r.initial_delay << " -> "
+  std::cout << to_string(job.mode) << ": delay " << r.initial_delay << " -> "
             << r.final_delay << " ns (" << r.improvement_percent() << "%), area "
             << r.area_delta_percent() << "%, " << r.swaps_committed << " swaps / "
             << r.resizes_committed << " resizes, " << probes << " probes on "
             << r.threads << (r.threads == 1 ? " thread, " : " threads, ")
             << r.seconds << " s"
-            << (options.verify ? (run.verified ? ", verified" : ", VERIFY FAILED")
-                               : "")
+            << (job.options.verify ? (run.verified ? ", verified" : ", VERIFY FAILED")
+                                   : "")
             << "\n";
   const std::uint64_t full_rebuilds = count("partition.full_rebuilds");
   std::cout << "partition: " << count("partition.sgs_reextracted")
@@ -291,13 +217,13 @@ int cmd_flow(const std::vector<std::string>& args) {
               << "%), " << count("timing.damp_fallbacks") << " undamped replays, "
               << count("timing.margin_refreshes") << " margin refreshes\n";
   }
-  if (options.opt.paranoid) {
+  if (job.options.opt.paranoid) {
     std::cout << "paranoid: " << r.moves_proved
               << " committed moves SAT-proved on their windows ("
-              << (options.opt.sat_session ? "incremental session" : "per-move solver")
+              << (job.options.opt.sat_session ? "incremental session" : "per-move solver")
               << ": " << count("proof.gates_encoded") << " gates encoded, "
               << count("proof.conflicts") << " conflicts";
-    if (options.opt.sat_session) {
+    if (job.options.opt.sat_session) {
       std::cout << ", " << count("proof.cache_hits") << " cone cache hits, "
                 << count("solver.learned_kept") << " learned clauses retained / "
                 << count("solver.learned_deleted") << " evicted over "
@@ -310,57 +236,24 @@ int cmd_flow(const std::vector<std::string>& args) {
     }
   }
 
-  if (!out_trace.empty()) {
-    Tracer& tracer = session.tracer();
-    tracer.disable();  // workers are quiescent; freeze before exporting
-    std::ofstream os(out_trace);
-    if (!os) throw InputError("cannot write " + out_trace);
-    tracer.write_chrome_trace(os);
-    std::cout << "wrote " << out_trace << " (" << tracer.recorded()
-              << " events, " << tracer.dropped() << " dropped)\n";
+  if (!job.out_trace.empty()) {
+    std::cout << "wrote " << job.out_trace << " (" << session.tracer().recorded()
+              << " events, " << session.tracer().dropped() << " dropped)\n";
   }
-  if (buffers) {
-    Placement pl = prepared.placement;
-    Sta sta(run.optimized, lib, pl);
-    const FanoutOptResult fr = optimize_fanout(run.optimized, pl, lib, sta);
-    std::cout << "fanout-opt: " << fr.buffers_inserted << " buffers, delay "
-              << fr.initial_delay << " -> " << fr.final_delay << " ns\n";
+  if (job.buffers) {
+    std::cout << "fanout-opt: " << run.fanout.buffers_inserted << " buffers, delay "
+              << run.fanout.initial_delay << " -> " << run.fanout.final_delay << " ns\n";
   }
-  // The BLIF goes out before the metrics file, so its write time is in it.
-  if (!out_blif.empty()) {
-    const Timer timer;
-    write_blif_file(run.optimized, out_blif, target);
-    reg.set_gauge("time.write_s", timer.seconds());
-    std::cout << "wrote " << out_blif << "\n";
+  if (!job.out_blif.empty()) std::cout << "wrote " << job.out_blif << "\n";
+  if (!job.out_metrics.empty()) {
+    std::cout << "wrote " << job.out_metrics << " (" << reg.size() << " metrics)\n";
   }
-  if (!out_metrics.empty()) {
-    reg.set_label("circuit", target);
-    reg.set_label("mode", to_string(mode));
-    reg.set_label("threads", std::to_string(r.threads));
-    std::ofstream os(out_metrics);
-    if (!os) throw InputError("cannot write " + out_metrics);
-    reg.write_json(os);
-    std::cout << "wrote " << out_metrics << " (" << reg.size() << " metrics)\n";
+  if (!job.out_provenance.empty()) {
+    std::cout << "wrote " << job.out_provenance << " ("
+              << session.provenance().records().size() << " events, "
+              << run.provenance_chains << " committed chains resolved)\n";
   }
-  if (!out_provenance.empty()) {
-    ProvenanceLog& prov = session.provenance();
-    prov.disable();
-    std::string diag;
-    const int chains = prov.resolve_committed_chains(&diag);
-    if (chains < 0) {
-      log_warn() << "provenance self-check failed: " << diag;
-    }
-    std::ofstream os(out_provenance);
-    if (!os) throw InputError("cannot write " + out_provenance);
-    prov.write_json(os);
-    std::cout << "wrote " << out_provenance << " (" << prov.records().size()
-              << " events, " << (chains < 0 ? 0 : chains)
-              << " committed chains resolved)\n";
-  }
-  if (!out_place.empty()) {
-    write_placement_file(prepared.mapped, prepared.placement, out_place);
-    std::cout << "wrote " << out_place << "\n";
-  }
+  if (!job.out_place.empty()) std::cout << "wrote " << job.out_place << "\n";
   return run.verified ? 0 : 1;
 }
 
@@ -376,7 +269,7 @@ int cmd_table1(const std::vector<std::string>& args) {
       full = true;
     } else if (a == "--threads") {
       if (i + 1 >= args.size()) throw InputError("missing value after --threads");
-      threads = std::stoi(args[++i]);
+      threads = parse_flag_value<int>(a, args[++i]);
       if (threads < 1) throw InputError("--threads must be >= 1");
     } else {
       names.push_back(a);
@@ -477,7 +370,7 @@ int cmd_serve(const std::vector<std::string>& args) {
     if (a == "--jobs") {
       jobs_file = next();
     } else if (a == "--max-concurrent") {
-      options.max_concurrent = std::stoi(next());
+      options.max_concurrent = parse_flag_value<int>(a, next());
       if (options.max_concurrent < 1) {
         throw InputError("--max-concurrent must be >= 1");
       }
@@ -500,16 +393,16 @@ int cmd_fuzz(const std::vector<std::string>& args) {
       return args[++i];
     };
     if (a == "--seed") {
-      options.seed = std::stoull(next());
+      options.seed = parse_flag_value<std::uint64_t>(a, next());
     } else if (a == "--iters") {
-      options.iterations = std::stoi(next());
+      options.iterations = parse_flag_value<int>(a, next());
     } else if (a == "--threads") {
-      options.threads = std::stoi(next());
+      options.threads = parse_flag_value<int>(a, next());
       if (options.threads < 1) throw InputError("--threads must be >= 1");
     } else if (a == "--max-gates") {
-      options.max_gates = std::stoi(next());
+      options.max_gates = parse_flag_value<int>(a, next());
     } else if (a == "--max-inputs") {
-      options.max_inputs = std::stoi(next());
+      options.max_inputs = parse_flag_value<int>(a, next());
     } else if (a == "--no-sat") {
       options.sat_crosscheck = false;
     } else if (a == "--no-shrink") {
