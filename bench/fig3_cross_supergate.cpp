@@ -5,6 +5,9 @@
 // outputs), applies the group swap, prints what changed (retyped gates,
 // inverters) and verifies equivalence. Then sweeps random netlists counting
 // cross-supergate opportunities and validating every applied exchange.
+// Exits non-zero when the figure yields no candidate or any exchange breaks
+// equivalence.
+#include <cstdio>
 #include <iostream>
 
 #include "library/cell_library.hpp"
@@ -26,7 +29,9 @@ Placement flat_placement(const Network& net) {
   return pl;
 }
 
-void figure_case() {
+/// True when the figure yields a candidate and its exchange keeps the
+/// function.
+bool figure_case() {
   std::cout << "== Fig. 3 case study ==\n";
   NetworkBuilder b;
   const GateId a = b.input("a"), bb = b.input("b"), c = b.input("c");
@@ -42,7 +47,7 @@ void figure_case() {
   const GisgPartition part = extract_gisg(net);
   const auto cands = find_cross_sg_candidates(part, net);
   std::cout << "candidates found: " << cands.size() << "\n";
-  if (cands.empty()) return;
+  if (cands.empty()) return false;
   const CrossSgEdit edit = apply_cross_sg_swap(net, pl, lib, part, cands[0]);
   std::cout << "applied: retyped " << edit.gates_retyped << " gates, added "
             << edit.inverters_added << " inverters\n";
@@ -50,11 +55,14 @@ void figure_case() {
             << ", SG2 gate is now " << to_string(net.type(net.find("SG2"))) << "\n";
   std::cout << "fanins of SG1 after swap:";
   for (const GateId f : net.fanins(net.find("SG1"))) std::cout << ' ' << net.name(f);
-  std::cout << "\nequivalence: "
-            << (check_equivalence(golden, net).equivalent ? "OK" : "BROKEN") << "\n";
+  const bool equivalent = check_equivalence(golden, net).equivalent;
+  std::cout << "\nequivalence: " << (equivalent ? "OK" : "BROKEN") << "\n";
+  return equivalent;
 }
 
-void random_sweep() {
+/// True when every applied exchange keeps the function.
+bool random_sweep() {
+  bool ok = true;
   std::cout << "\n== random-netlist sweep ==\n";
   std::cout << "seed  gates  candidates  applied  retyped  invs  all_equiv\n";
   const CellLibrary lib = builtin_library_035();
@@ -101,13 +109,15 @@ void random_sweep() {
     std::printf("%4llu %6zu %11zu %8d %8d %5d %10s\n",
                 static_cast<unsigned long long>(seed), golden.num_logic_gates(),
                 total_candidates, applied, retyped, invs, all_equiv ? "OK" : "BROKEN");
+    ok = ok && all_equiv;
   }
+  return ok;
 }
 
 }  // namespace
 
 int main() {
-  figure_case();
-  random_sweep();
-  return 0;
+  const bool figure_ok = figure_case();
+  const bool sweep_ok = random_sweep();
+  return figure_ok && sweep_ok ? 0 : 1;
 }

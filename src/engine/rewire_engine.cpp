@@ -11,9 +11,9 @@ namespace rapids {
 
 namespace {
 /// Free-stack floor maintained at construction and after every commit.
-/// A single move inserts at most two inverters (swap) or one per moved
-/// leaf pin (cross-sg); 64 covers any realistic supergate. probe_with
-/// asserts the id space never grows mid-probe, so an overflow is loud.
+/// A single swap inserts at most two inverters, so 64 leaves ample room.
+/// probe_with asserts the id space never grows mid-probe, so an overflow is
+/// loud.
 constexpr std::size_t kIdReserve = 64;
 }  // namespace
 
@@ -103,13 +103,6 @@ const GisgPartition& RewireEngine::partition() {
   return partition_;
 }
 
-bool RewireEngine::cross_sg_fresh(const CrossSgCandidate& cand) {
-  const GisgPartition& part = partition();
-  return part.slot_fresh(cand.enclosing_sg, cand.gen_enclosing) &&
-         part.slot_fresh(cand.sg_a, cand.gen_a) &&
-         part.slot_fresh(cand.sg_b, cand.gen_b);
-}
-
 void RewireEngine::mark_commit_dirty(const EngineMove& move) {
   if (!incremental_on_) {
     partition_valid_ = false;
@@ -143,16 +136,6 @@ void RewireEngine::mark_commit_dirty(const EngineMove& move) {
       // Cell bindings are invisible to extraction: a resize leaves the
       // partition untouched (the first commit kind with zero re-extraction
       // cost — GS-heavy flows reuse every supergate across rounds).
-      break;
-    case EngineMove::Kind::CrossSg:
-      for (const CrossSgEdit::PinRestore& pr : scratch_.cross_edit.moved_pins) {
-        touch(pr.pin.gate);
-        touch(pr.old_driver);
-        touch(net_.driver_of(pr.pin));
-      }
-      for (const CrossSgEdit::Retype& r : scratch_.cross_edit.retyped) touch(r.gate);
-      for (const GateId g : scratch_.cross_edit.added_inverters) touch(g);
-      for (const GateId d : scratch_.cross_edit.dirty_nets) touch(d);
       break;
   }
 }
@@ -191,16 +174,6 @@ void RewireEngine::record_sync_journal(const EngineMove& move,
     }
     case EngineMove::Kind::Resize:
       row(move.gate());  // cell binding changed
-      break;
-    case EngineMove::Kind::CrossSg:
-      for (const CrossSgEdit::PinRestore& pr : scratch_.cross_edit.moved_pins) {
-        row(pr.pin.gate);
-        row(pr.old_driver);
-        row(net_.driver_of(pr.pin));
-      }
-      for (const CrossSgEdit::Retype& r : scratch_.cross_edit.retyped) row(r.gate);
-      for (const GateId g : scratch_.cross_edit.added_inverters) row(g);
-      for (const GateId d : scratch_.cross_edit.dirty_nets) row(d);
       break;
   }
   sta_.append_txn_changed_ids(sync_arr_, sync_nets_);
@@ -262,25 +235,6 @@ void RewireEngine::apply_and_invalidate(ProbeScratch& scratch,
       sta_.touch_gate(move.gate());
       break;
     }
-    case EngineMove::Kind::CrossSg: {
-      const GisgPartition& part = partition();
-      const CrossSgCandidate& cand = move.cross_cand();
-      // CrossSg candidates hold supergate SLOTS into the partition they
-      // were enumerated from, stamped with those slots' generations; they
-      // are probe-safe exactly while all three slots still carry the same
-      // stamps (callers gate on cross_sg_fresh(), which commits elsewhere
-      // in the network no longer violate).
-      RAPIDS_ASSERT_MSG(part.slot_fresh(cand.enclosing_sg, cand.gen_enclosing) &&
-                            part.slot_fresh(cand.sg_a, cand.gen_a) &&
-                            part.slot_fresh(cand.sg_b, cand.gen_b),
-                        "cross-sg candidate references a stale partition slot");
-      apply_cross_sg_swap_into(net_, placement_, lib_, part, cand, scratch.cross_edit);
-      for (const GateId d : scratch.cross_edit.dirty_nets) sta_.invalidate_net(d);
-      for (const CrossSgEdit::Retype& r : scratch.cross_edit.retyped) {
-        sta_.touch_gate(r.gate);
-      }
-      break;
-    }
   }
 }
 
@@ -291,9 +245,6 @@ void RewireEngine::undo_network_edit(ProbeScratch& scratch, const EngineMove& mo
       break;
     case EngineMove::Kind::Resize:
       net_.set_cell(move.gate(), scratch.saved_cell);
-      break;
-    case EngineMove::Kind::CrossSg:
-      undo_cross_sg_swap(net_, placement_, scratch.cross_edit);
       break;
   }
 }
@@ -346,16 +297,6 @@ void RewireEngine::count_commit(const EngineMove& move) {
     case EngineMove::Kind::Resize:
       ++stats_.resizes_committed;
       break;
-    case EngineMove::Kind::CrossSg:
-      ++stats_.cross_sg_committed;
-      stats_.inverters_added += scratch_.cross_edit.inverters_added;
-      // Committed gates now belong to the network; detach the record so the
-      // next apply_cross_sg_swap_into does not trip the "still applied" guard.
-      scratch_.cross_edit.moved_pins.clear();
-      scratch_.cross_edit.added_inverters.clear();
-      scratch_.cross_edit.retyped.clear();
-      scratch_.cross_edit.applied = false;
-      break;
   }
 }
 
@@ -405,53 +346,25 @@ const sat::ProofSessionStats& RewireEngine::merged_session_stats() const {
 }
 
 void RewireEngine::begin_paranoid_proof(const EngineMove& move) {
-  // Observation root: the supergate root that dominates everything the
-  // move rewires (swap: its own supergate; cross-sg: the enclosing one).
-  const GisgPartition& part = partition();
-  GateId root = kNullGate;
-  switch (move.kind()) {
-    case EngineMove::Kind::Swap: {
-      // Swap candidates survive across epochs (they reference stable gate
-      // ids), but their sg_index refers to the partition they were
-      // extracted from — resolve the pin's supergate in the CURRENT
-      // partition instead.
-      const SuperGate* sg = part.sg_containing(move.swap_cand().pin_a.gate);
-      RAPIDS_ASSERT_MSG(sg != nullptr, "swap pin outside any supergate");
-      root = sg->root;
-      break;
-    }
-    case EngineMove::Kind::CrossSg:
-      root = part.sgs[static_cast<std::size_t>(move.cross_cand().enclosing_sg)].root;
-      break;
-    case EngineMove::Kind::Resize:
-      RAPIDS_ASSERT_MSG(false, "resize moves are exempt from proofs");
-  }
+  RAPIDS_ASSERT_MSG(move.kind() == EngineMove::Kind::Swap,
+                    "resize moves are exempt from proofs");
+  // Observation root: the root of the supergate the swap rewires. Swap
+  // candidates survive across epochs (they reference stable gate ids), but
+  // their sg_index refers to the partition they were extracted from —
+  // resolve the pin's supergate in the CURRENT partition instead.
+  const SuperGate* sg = partition().sg_containing(move.swap_cand().pin_a.gate);
+  RAPIDS_ASSERT_MSG(sg != nullptr, "swap pin outside any supergate");
+  const GateId root = sg->root;
 
-  // Derive the exact rewired gate set with a throwaway apply/undo (the
-  // probe guarantee: state is restored bit-exactly), then encode the
-  // pre-move window.
+  // The swap rewires its two pins' gates; derive the inverters it creates
+  // with a throwaway apply/undo (the probe guarantee: state is restored
+  // bit-exactly), then encode the pre-move window.
   paranoid_changed_.clear();
-  paranoid_created_.clear();
+  paranoid_changed_.push_back(move.swap_cand().pin_a.gate);
+  paranoid_changed_.push_back(move.swap_cand().pin_b.gate);
   sta_.begin();
   apply_and_invalidate(scratch_, move);
-  switch (move.kind()) {
-    case EngineMove::Kind::Swap:
-      paranoid_changed_.push_back(move.swap_cand().pin_a.gate);
-      paranoid_changed_.push_back(move.swap_cand().pin_b.gate);
-      paranoid_created_ = scratch_.swap_edit.added_inverters;
-      break;
-    case EngineMove::Kind::CrossSg:
-      for (const CrossSgEdit::PinRestore& pr : scratch_.cross_edit.moved_pins) {
-        paranoid_changed_.push_back(pr.pin.gate);
-      }
-      for (const CrossSgEdit::Retype& r : scratch_.cross_edit.retyped) {
-        paranoid_changed_.push_back(r.gate);
-      }
-      paranoid_created_ = scratch_.cross_edit.added_inverters;
-      break;
-    case EngineMove::Kind::Resize:
-      break;
-  }
+  paranoid_created_ = scratch_.swap_edit.added_inverters;
   undo_network_edit(scratch_, move);
   sta_.rollback();
   // Created gates do not exist pre-move; the changed set must not name them.
@@ -469,7 +382,7 @@ void RewireEngine::begin_paranoid_proof(const EngineMove& move) {
 }
 
 EngineObjective RewireEngine::commit(const EngineMove& move) {
-  const bool prove = paranoid() && move.kind() != EngineMove::Kind::Resize;
+  const bool prove = paranoid() && move.kind() == EngineMove::Kind::Swap;
   if (prove) begin_paranoid_proof(move);
   sta_.begin();
   apply_and_invalidate(scratch_, move);
@@ -490,9 +403,7 @@ EngineObjective RewireEngine::commit(const EngineMove& move) {
     // The move re-inserts inverters; re-read the created set from the real
     // apply's edit record (ids can differ from the throwaway apply only in
     // recycling order, but take no chances).
-    paranoid_created_ =
-        move.kind() == EngineMove::Kind::Swap ? scratch_.swap_edit.added_inverters
-                                            : scratch_.cross_edit.added_inverters;
+    paranoid_created_ = scratch_.swap_edit.added_inverters;
     std::string diag;
     const bool window_ok =
         session_ ? session_->check(net_, paranoid_created_, &diag)
@@ -602,14 +513,6 @@ int RewireEngine::commit_best(std::vector<RankedMove>& ranked, double min_gain) 
             [](const RankedMove& a, const RankedMove& b) { return a.gain > b.gain; });
   int committed = 0;
   for (const RankedMove& rm : ranked) {
-    // CrossSg moves reference partition slots; earlier commits in this
-    // batch may have re-extracted one of their supergates, which stales
-    // them (not even probe-safe) — the per-slot generation stamps decide,
-    // so cross moves over untouched supergates survive unrelated commits.
-    if (rm.move.kind() == EngineMove::Kind::CrossSg &&
-        !cross_sg_fresh(rm.move.cross_cand())) {
-      continue;
-    }
     // Re-validate against the current state: earlier commits may have
     // absorbed or invalidated this gain.
     const double before = sta_.critical_delay();

@@ -5,12 +5,15 @@
 // candidate moves are evaluated per circuit by applying a move, incrementally
 // re-timing, reading the objective and rolling back exactly. The seed
 // repository re-implemented that choreography in every caller (optimizer
-// phases, sizing, benches); this engine owns it once, over all three move
+// phases, sizing, benches); this engine owns it once, over both move
 // kinds:
 //
 //   Swap    — pin swap inside one supergate (rewire/swap)
 //   Resize  — drive-strength reassignment    (sizing)
-//   CrossSg — cross-supergate group exchange (rewire/cross_sg, Theorem 2)
+//
+// Cross-supergate group exchanges (rewire/cross_sg, Theorem 2) are not an
+// engine move: the paper leaves them out of its optimizer, and so does the
+// flow.
 //
 // The engine also owns the GisgPartition lifecycle. The partition is a
 // LONG-LIVED index maintained incrementally: every commit records its
@@ -31,14 +34,13 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <utility>
+#include <type_traits>
 #include <variant>
 #include <vector>
 
 #include "library/cell_library.hpp"
 #include "netlist/network.hpp"
 #include "place/placement.hpp"
-#include "rewire/cross_sg.hpp"
 #include "rewire/swap.hpp"
 #include "sat/proof_session.hpp"
 #include "sat/window.hpp"
@@ -63,15 +65,13 @@ struct EngineObjective {
   bool pruned = false;
 };
 
-/// One candidate transformation, uniformly over all move kinds. Swap and
-/// Resize payloads are stored inline; the (rare, 64-byte) CrossSg candidate
-/// lives out of line, shared and immutable, so copies of a cross move share
-/// one payload. A round holds one move per candidate swap of every
-/// supergate, so the size is pinned below.
+/// One candidate transformation, uniformly over both move kinds: a plain
+/// value with its payload inline. A round holds one move per candidate swap
+/// of every supergate, so the size is pinned below.
 class EngineMove {
  public:
   /// Order matches the payload alternatives (kind() reads the index).
-  enum class Kind : std::uint8_t { Swap, Resize, CrossSg };
+  enum class Kind : std::uint8_t { Swap, Resize };
 
   /// A default move is a Swap over an empty candidate (a GroupResult with
   /// no winner holds one).
@@ -79,24 +79,14 @@ class EngineMove {
 
   static EngineMove swap(const SwapCandidate& c) { return EngineMove(c); }
   static EngineMove resize(GateId g, int cell) { return EngineMove(Resize{g, cell}); }
-  static EngineMove cross_sg(const CrossSgCandidate& c) {
-    return EngineMove(std::make_shared<const CrossSgCandidate>(c));
-  }
 
   Kind kind() const { return static_cast<Kind>(payload_.index()); }
   const SwapCandidate& swap_cand() const { return std::get<SwapCandidate>(payload_); }
   GateId gate() const { return std::get<Resize>(payload_).gate; }       // Resize
   int new_cell() const { return std::get<Resize>(payload_).new_cell; }  // Resize
-  /// Copies of one CrossSg move return the same shared candidate.
-  const CrossSgCandidate& cross_cand() const { return *std::get<CrossPtr>(payload_); }
 
-  /// Value equality: same kind and same candidate (CrossSg compares the
-  /// pointees, not the pointers).
-  friend bool operator==(const EngineMove& a, const EngineMove& b) {
-    if (a.kind() != b.kind()) return false;
-    if (a.kind() == Kind::CrossSg) return a.cross_cand() == b.cross_cand();
-    return a.payload_ == b.payload_;
-  }
+  /// Value equality: same kind and same candidate.
+  friend bool operator==(const EngineMove&, const EngineMove&) = default;
 
  private:
   struct Resize {
@@ -104,14 +94,14 @@ class EngineMove {
     int new_cell = -1;
     friend bool operator==(const Resize&, const Resize&) = default;
   };
-  using CrossPtr = std::shared_ptr<const CrossSgCandidate>;
 
   template <class P>
-  explicit EngineMove(P payload) : payload_(std::move(payload)) {}
+  explicit EngineMove(P payload) : payload_(payload) {}
 
-  std::variant<SwapCandidate, Resize, CrossPtr> payload_;
+  std::variant<SwapCandidate, Resize> payload_;
 };
 static_assert(sizeof(EngineMove) <= 32, "EngineMove must stay a 32-byte value");
+static_assert(std::is_trivially_copyable_v<EngineMove>, "EngineMove must stay a plain value");
 
 /// Paranoid-mode prover configuration.
 struct ParanoidOptions {
@@ -138,12 +128,10 @@ enum class ProofVerdict : std::uint8_t {
 
 /// Commit and probe counters, accumulated across the engine's lifetime.
 /// Addable so per-worker replicas can be merged into the live engine's
-/// counters on demand. `swaps_committed` counts supergate pin swaps only;
-/// the flow's "engine.swaps_committed" adds the cross-supergate moves.
+/// counters on demand.
 struct EngineStats : NamedStats<EngineStats> {
   int swaps_committed = 0;
   int resizes_committed = 0;
-  int cross_sg_committed = 0;
   int inverters_added = 0;
   std::uint64_t probes = 0;
   /// Probes (counted in `probes`) that skipped propagation because their
@@ -161,7 +149,6 @@ struct EngineStats : NamedStats<EngineStats> {
     using S = EngineStats;
     return std::tuple{StatField{"engine.pin_swaps_committed", &S::swaps_committed},
                       StatField{"engine.resizes_committed", &S::resizes_committed},
-                      StatField{"engine.cross_sg_committed", &S::cross_sg_committed},
                       StatField{"engine.inverters_added", &S::inverters_added},
                       StatField{"engine.probes", &S::probes},
                       StatField{"timing.probes_pruned", &S::probes_pruned},
@@ -180,7 +167,6 @@ struct EngineStats : NamedStats<EngineStats> {
 /// probe loop through one scratch allocates nothing.
 struct ProbeScratch {
   SwapEdit swap_edit;
-  CrossSgEdit cross_edit;
   std::vector<GateId> dirty_scratch;
   int saved_cell = -1;
 };
@@ -237,15 +223,6 @@ class RewireEngine {
     if (session_) session_->invalidate_all();
   }
 
-  /// Adopt a slot-exact copy of another engine's partition (replica sync):
-  /// moves carrying slot indices and generation stamps probe identically on
-  /// the replica. `source` must be materialized (its pending dirt applied).
-  void adopt_partition(const GisgPartition& source) {
-    partition_ = source;
-    partition_valid_ = true;
-    pending_dirty_.clear();
-  }
-
   /// Incremental maintenance switch (default on). When off, every commit
   /// invalidates the whole partition and the next partition() call pays a
   /// full O(network) re-extraction — the pre-incremental behavior, kept as
@@ -259,27 +236,11 @@ class RewireEngine {
   /// fuzzer's extract-diff row only.
   void set_extract_diff(bool on) { extract_diff_ = on; }
 
-  /// True when a CrossSg candidate's three supergate slots still carry the
-  /// generation stamps the candidate was enumerated under — the per-sg
-  /// staleness test (commits elsewhere in the network no longer stale
-  /// cross-supergate moves). Applies pending dirt first.
-  bool cross_sg_fresh(const CrossSgCandidate& cand);
-
-  /// Partition maintenance counters over the engine's lifetime (plus
-  /// everything absorbed from replicas).
+  /// Partition maintenance counters over the engine's lifetime.
   const PartitionStats& partition_stats() const { return pstats_; }
-  void absorb_partition_stats(const PartitionStats& s) { pstats_ += s; }
-  /// Counters accumulated since the last harvest; resets the window
-  /// (replica-side pair of absorb_partition_stats).
-  PartitionStats take_partition_stats() {
-    return PartitionStats::take_window(pstats_, pstats_harvested_);
-  }
 
-  /// Bumped by every commit. Swap/Resize moves remain probe/undo safe
-  /// across epochs (they reference gates, which have stable ids); CrossSg
-  /// moves reference partition slots and are probe-safe exactly while
-  /// cross_sg_fresh() holds — their slots' generations are finer-grained
-  /// than the epoch, so commits in unrelated regions do not stale them.
+  /// Bumped by every commit. Moves remain probe/undo safe across epochs
+  /// (they reference gates, which have stable ids).
   std::uint64_t epoch() const { return epoch_; }
 
   // --- replica delta sync ---------------------------------------------------
@@ -343,7 +304,7 @@ class RewireEngine {
   /// paranoid_inconclusive()).
   EngineObjective commit(const EngineMove& move);
 
-  /// Verify-every-commit mode: each committed Swap/CrossSg move is proved
+  /// Verify-every-commit mode: each committed Swap move is proved
   /// function-preserving at its supergate root before it is kept — by the
   /// persistent ProofSession (options.session, the default) or by a
   /// throwaway per-move WindowChecker. Resize moves do not change logic
@@ -411,9 +372,7 @@ class RewireEngine {
   /// NOTE: the ranked moves must be derived from the current partition
   /// state and at most one swap per supergate may appear (the
   /// stale-candidate contract); the optimizer's per-group "best move"
-  /// selection guarantees both. CrossSg entries are dropped automatically
-  /// when an earlier commit in the batch re-extracted one of their
-  /// supergate slots (per-generation freshness).
+  /// selection guarantees both.
   int commit_best(std::vector<RankedMove>& ranked, double min_gain);
 
   const EngineStats& stats() const { return stats_; }
@@ -475,7 +434,6 @@ class RewireEngine {
   bool incremental_on_ = true;
   bool extract_diff_ = false;
   PartitionStats pstats_;
-  PartitionStats pstats_harvested_;
 
   EngineStats stats_;
   bool timing_damp_ = true;

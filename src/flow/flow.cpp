@@ -6,6 +6,7 @@
 #include <iterator>
 #include <optional>
 #include <sstream>
+#include <thread>
 #include <utility>
 
 #include "gen/large.hpp"
@@ -101,18 +102,26 @@ Network load_circuit(const std::string& spec) {
   return make_benchmark(spec);
 }
 
+int parse_thread_count(const std::string& flag, const std::string& text) {
+  const int n = parse_flag_value<int>(flag, text);
+  const int cap = static_cast<int>(std::max(8u, 4 * std::thread::hardware_concurrency()));
+  if (n < 1 || n > cap) {
+    throw InputError(flag + " must be between 1 and " + std::to_string(cap) + ", got " + text);
+  }
+  return n;
+}
+
 bool parse_optimizer_flag(const std::vector<std::string>& args, std::size_t& i,
                           OptimizerOptions& opt) {
   const std::string& a = args[i];
-  const auto next_int = [&]() {
+  const auto next = [&]() -> const std::string& {
     if (i + 1 >= args.size()) throw InputError("missing value after " + a);
-    return parse_flag_value<int>(a, args[++i]);
+    return args[++i];
   };
   if (a == "--threads") {
-    opt.threads = next_int();
-    if (opt.threads < 1) throw InputError("--threads must be >= 1");
+    opt.threads = parse_thread_count(a, next());
   } else if (a == "--iters") {
-    opt.max_iterations = next_int();
+    opt.max_iterations = parse_flag_value<int>(a, next());
     if (opt.max_iterations < 0) throw InputError("--iters must be >= 0");
   } else if (a == "--paranoid") {
     opt.paranoid = true;

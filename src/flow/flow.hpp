@@ -80,6 +80,11 @@ T parse_flag_value(const std::string& flag, const std::string& text) {
   return value;
 }
 
+/// A worker or slot count for `flag` (--threads, threads=, --max-concurrent):
+/// a whole integer from 1 to max(8, 4 x hardware threads). Anything else
+/// throws an InputError naming `flag`, before any pool is sized from it.
+int parse_thread_count(const std::string& flag, const std::string& text);
+
 /// If args[i] is a `rapids flow` flag that sets OptimizerOptions (--threads,
 /// --iters, --paranoid and the A/B levers), applies it, steps i past its
 /// value and returns true; otherwise returns false.

@@ -151,7 +151,7 @@ class Optimizer {
     result.seconds = timer.seconds();
 
     const EngineStats& stats = engine_.stats();
-    result.swaps_committed = stats.swaps_committed + stats.cross_sg_committed;
+    result.swaps_committed = stats.swaps_committed;
     result.resizes_committed = stats.resizes_committed;
     result.inverters_added = stats.inverters_added;
     if (engine_.paranoid()) {

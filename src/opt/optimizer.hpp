@@ -66,7 +66,7 @@ struct OptimizerOptions {
   /// Base seed for per-worker RNG substreams (the flow plumbs its placer
   /// seed through here so one seed reproduces the whole run).
   std::uint64_t seed = 0x5eed5ULL;
-  /// Verify-every-commit mode: every committed Swap/CrossSg move is
+  /// Verify-every-commit mode: every committed swap move is
   /// SAT-proved function-preserving on its invalidated cone before it is
   /// kept (engine paranoid mode). A failed proof throws InternalError.
   bool paranoid = false;
@@ -134,7 +134,7 @@ struct OptimizerResult {
   double final_delay = 0.0;
   double initial_area = 0.0;
   double final_area = 0.0;
-  int swaps_committed = 0;  // supergate pin swaps + cross-supergate moves
+  int swaps_committed = 0;  // supergate pin swaps
   int resizes_committed = 0;
   int inverters_added = 0;
   int inverters_removed = 0;

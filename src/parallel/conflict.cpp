@@ -35,8 +35,8 @@ namespace {
 /// Collect the direct touch set of a move: every gate whose driven net the
 /// move's apply would invalidate, plus every gate it retimes in place.
 /// Mirrors RewireEngine::apply_and_invalidate's invalidation pattern.
-void direct_touches(const Network& net, const GisgPartition* part,
-                    const EngineMove& move, std::vector<GateId>& out) {
+void direct_touches(const Network& net, const EngineMove& move,
+                    std::vector<GateId>& out) {
   switch (move.kind()) {
     case EngineMove::Kind::Swap: {
       const SwapCandidate& c = move.swap_cand();
@@ -57,22 +57,6 @@ void direct_touches(const Network& net, const GisgPartition* part,
     case EngineMove::Kind::Resize: {
       out.push_back(move.gate());
       for (const GateId f : net.fanins(move.gate())) out.push_back(f);
-      break;
-    }
-    case EngineMove::Kind::CrossSg: {
-      RAPIDS_ASSERT_MSG(part != nullptr,
-                        "cross-sg signatures require the extraction partition");
-      const CrossSgCandidate& c = move.cross_cand();
-      out.push_back(c.pin_a.gate);
-      out.push_back(c.pin_b.gate);
-      for (const int s : {c.sg_a, c.sg_b}) {
-        RAPIDS_ASSERT(static_cast<std::size_t>(s) < part->sgs.size());
-        const SuperGate& sg = part->sgs[static_cast<std::size_t>(s)];
-        for (const GateId g : sg.covered) out.push_back(g);
-        for (const CoveredPin& p : sg.pins) {
-          if (p.leaf) out.push_back(p.driver);
-        }
-      }
       break;
     }
   }
@@ -101,10 +85,10 @@ void widen_by_fanout_cone(const Network& net, int depth, std::vector<GateId>& ga
 
 }  // namespace
 
-ConflictSignature move_signature(const Network& net, const GisgPartition* part,
-                                 const EngineMove& move, int cone_depth) {
+ConflictSignature move_signature(const Network& net, const EngineMove& move,
+                                 int cone_depth) {
   ConflictSignature sig;
-  direct_touches(net, part, move, sig.touched);
+  direct_touches(net, move, sig.touched);
   std::sort(sig.touched.begin(), sig.touched.end());
   sig.touched.erase(std::unique(sig.touched.begin(), sig.touched.end()),
                     sig.touched.end());
@@ -112,11 +96,10 @@ ConflictSignature move_signature(const Network& net, const GisgPartition* part,
   return sig;
 }
 
-ConflictSignature group_signature(const Network& net, const GisgPartition* part,
-                                  std::span<const EngineMove> moves,
+ConflictSignature group_signature(const Network& net, std::span<const EngineMove> moves,
                                   int cone_depth) {
   ConflictSignature sig;
-  for (const EngineMove& m : moves) direct_touches(net, part, m, sig.touched);
+  for (const EngineMove& m : moves) direct_touches(net, m, sig.touched);
   std::sort(sig.touched.begin(), sig.touched.end());
   sig.touched.erase(std::unique(sig.touched.begin(), sig.touched.end()),
                     sig.touched.end());

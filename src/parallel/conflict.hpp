@@ -5,7 +5,7 @@
 // the same gates, or their invalidated STA cones overlap. A move's
 // ConflictSignature approximates that read/write set as a sorted gate-id
 // set: the STA invalidation seeds the move would dirty (old/new drivers,
-// resized gates and their fanin drivers, DeMorgan-retyped gates) widened by
+// resized gates and their fanin drivers) widened by
 // the downstream fanout cone to a small truncation depth — the region
 // incremental propagation touches first.
 //
@@ -25,7 +25,6 @@
 
 #include "engine/rewire_engine.hpp"
 #include "netlist/network.hpp"
-#include "sym/gisg.hpp"
 
 namespace rapids {
 
@@ -42,15 +41,14 @@ struct ConflictSignature {
   void merge(const ConflictSignature& other);
 };
 
-/// Signature of a single move. `part` is required for CrossSg moves (their
-/// candidates index into it) and ignored otherwise. `cone_depth` levels of
-/// fanout cone are added beyond the directly touched gates.
-ConflictSignature move_signature(const Network& net, const GisgPartition* part,
-                                 const EngineMove& move, int cone_depth);
+/// Signature of a single move. `cone_depth` levels of fanout cone are added
+/// beyond the directly touched gates.
+ConflictSignature move_signature(const Network& net, const EngineMove& move,
+                                 int cone_depth);
 
 /// Signature of a candidate group: union over its moves' signatures.
-ConflictSignature group_signature(const Network& net, const GisgPartition* part,
-                                  std::span<const EngineMove> moves, int cone_depth);
+ConflictSignature group_signature(const Network& net, std::span<const EngineMove> moves,
+                                  int cone_depth);
 
 /// Conflict-aware shard assignment. Returns shard_of[g] in [0, num_shards)
 /// for every group. Connected components of the conflict graph are kept on

@@ -17,29 +17,12 @@ void ProbeContext::set_tracer(Tracer* tracer) {
   if (engine_) engine_->set_tracer(tracer);
 }
 
-void ProbeContext::adopt_partition_from(RewireEngine& source) {
-  // Slot-exact copy: replica cross-sg probes must resolve the same slot
-  // indices and generation stamps as the live engine (a fresh replica-side
-  // extraction would renumber incrementally maintained slots), and the
-  // copy spares the replica its own O(network) extraction. The scheduler
-  // materializes the live partition before the worker pool runs, so this
-  // read is race-free.
-  engine_->adopt_partition(source.partition());
-  partition_adopted_ = true;
-  partition_generation_ = source.partition().generation;
-}
-
 bool ProbeContext::in_sync_with(RewireEngine& source) const {
   return has_state_ && epoch_ == source.epoch() &&
          sta_version_ == source.sta().state_version();
 }
 
-bool ProbeContext::partition_current(RewireEngine& source) const {
-  return partition_adopted_ &&
-         partition_generation_ == source.partition().generation;
-}
-
-void ProbeContext::sync(RewireEngine& source, bool with_partition) {
+void ProbeContext::sync(RewireEngine& source) {
   const Timer timer;
   TraceSpan sync_span(tracer_, "sync", "replica_sync");
   ++sync_stats_.syncs;
@@ -86,21 +69,12 @@ void ProbeContext::sync(RewireEngine& source, bool with_partition) {
       // the O(dirty) gauge in bench/scale_flow.
       sync_stats_.delta_commits += source.epoch() - epoch_;
       epoch_ = source.epoch();
-      // The replica partition now lags the network; CrossSg rounds re-adopt
-      // the live partition below (slot-exact copy — replaying the dirt
-      // independently could batch re-extractions differently and drift the
-      // slot generation stamps the candidates are pinned to).
-      partition_adopted_ = false;
       // Count only epoch-advancing replays: a same-epoch repeat call does no
       // work and must not inflate the sync counters (metrics-json promises
       // delta_syncs == journal replays, delta_commits == epochs spanned).
       ++sync_stats_.delta_syncs;
     }
     sync_span.set_arg("delta", 1);
-    // Re-adopt on a stale GENERATION, not just a missing adoption: a live
-    // partition rebuild inside this epoch renumbers slots (see
-    // partition_current()).
-    if (with_partition && !partition_current(source)) adopt_partition_from(source);
     sync_stats_.seconds += timer.seconds();
     return;
   }
@@ -133,8 +107,6 @@ void ProbeContext::sync(RewireEngine& source, bool with_partition) {
   // objectives by construction).
   engine_->set_timing_damp(source.timing_damp());
   engine_->set_timing_damp_diff(source.sta().damp_diff());
-  partition_adopted_ = false;
-  if (with_partition) adopt_partition_from(source);
 
   epoch_ = source.epoch();
   sta_version_ = source.sta().state_version();

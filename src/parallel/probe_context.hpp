@@ -58,18 +58,16 @@ class ProbeContext {
 
   /// Re-replicate from the live engine's state. Must be called from a
   /// single thread per context (the scheduler syncs each worker's context
-  /// on that worker); `source` is read-only here. `with_partition` adopts a
-  /// slot-exact copy of the live partition — required before the replica
-  /// probes any CrossSg move (those resolve partition slots), pure waste
-  /// otherwise (the common swap/resize rounds never read it), so the
-  /// scheduler passes its per-round any-cross flag.
+  /// on that worker); `source` is read-only here. The replica never reads
+  /// its own partition (probes resolve gates, not supergate slots), so no
+  /// partition is copied.
   ///
   /// With delta sync on (the default) and the source journal covering the
   /// replica's epoch, only the committed rounds' dirty gates, STA slices
   /// and free-stack state are adopted — O(dirty), not O(network) — with a
   /// transparent fallback to the full clone path otherwise. Both paths
   /// leave the replica bit-identical for probe arithmetic.
-  void sync(RewireEngine& source, bool with_partition = true);
+  void sync(RewireEngine& source);
 
   /// Delta-sync escape hatch (A/B lever): when off, every sync takes the
   /// full clone path — the pre-delta behavior.
@@ -102,19 +100,6 @@ class ProbeContext {
   /// path must use this, never bare synced_to().
   bool in_sync_with(RewireEngine& source) const;
 
-  /// Late partition adoption for a replica synced without one (a cross-sg
-  /// round following a plain round in the same epoch).
-  void adopt_partition_from(RewireEngine& source);
-  bool partition_adopted() const { return partition_adopted_; }
-
-  /// True when the adopted partition copy still matches the live one.
-  /// partition_adopted() alone is not enough: invalidate_partition() + a
-  /// rebuild renumbers slots and advances the partition's monotone
-  /// generation stamp WITHOUT advancing the commit epoch, so a replica that
-  /// adopted before the rebuild would resolve CrossSg slots against stale
-  /// numbering. The generation stamp is never reset, so equality is exact.
-  bool partition_current(RewireEngine& source) const;
-
   /// The replica engine (valid after the first sync). Probe through
   /// probe_with(scratch(), move) — commits on a replica are meaningless and
   /// must go through the live engine's arbiter instead.
@@ -140,13 +125,6 @@ class ProbeContext {
     return engine_ ? engine_->take_session_stats() : sat::ProofSessionStats{};
   }
 
-  /// Replica partition-maintenance counters since the last harvest (zero in
-  /// steady state: replicas adopt the live partition instead of
-  /// extracting); merged into the live engine's totals by the scheduler.
-  PartitionStats take_partition_stats() {
-    return engine_ ? engine_->take_partition_stats() : PartitionStats{};
-  }
-
  private:
   const CellLibrary& lib_;
   Rng rng_;
@@ -160,11 +138,6 @@ class ProbeContext {
 
   std::uint64_t epoch_ = 0;
   bool has_state_ = false;
-  bool partition_adopted_ = false;
-  /// Generation stamp of the live partition at the last adoption; compared
-  /// against the live stamp to detect mid-epoch rebuilds (see
-  /// partition_current()).
-  std::uint64_t partition_generation_ = 0;
   bool delta_sync_ = true;
   /// Source Sta state version captured at the last full sync; a mismatch
   /// (the live side ran run_full) forces the next sync down the full path.

@@ -172,26 +172,9 @@ std::vector<GroupResult> ParallelRewireScheduler::probe_round(
     return results;
   }
 
-  // Signatures need the extraction partition only when cross-supergate
-  // moves are in the stream (their candidates index into it). Replicas
-  // adopt it for the same reason and only then — materializing it here,
-  // before the pool runs, keeps the worker-side copies race-free.
-  bool any_cross = false;
-  for (const ProbeGroup g : groups) {
-    for (const EngineMove& m : g) {
-      if (m.kind() == EngineMove::Kind::CrossSg) {
-        any_cross = true;
-        break;
-      }
-    }
-    if (any_cross) break;
-  }
-  const GisgPartition* part = any_cross ? &engine_.partition() : nullptr;
-
   std::vector<ConflictSignature> sigs(groups.size());
   for (std::size_t g = 0; g < groups.size(); ++g) {
-    sigs[g] = group_signature(engine_.net(), part, groups[g],
-                              options_.cone_depth);
+    sigs[g] = group_signature(engine_.net(), groups[g], options_.cone_depth);
   }
 
   // Balance shards on probe WEIGHT (one replica probe per move), not group
@@ -230,16 +213,8 @@ std::vector<GroupResult> ParallelRewireScheduler::probe_round(
     ProbeContext& ctx = *contexts_[static_cast<std::size_t>(w)];
     // in_sync_with, not synced_to: the epoch alone misses an out-of-band
     // run_full (journal restart) inside the same epoch — the replica would
-    // keep pre-restart arrivals. Likewise partition_current, not
-    // partition_adopted: a mid-epoch partition rebuild renumbers slots
-    // under an adopted copy.
-    if (!ctx.in_sync_with(engine_)) {
-      ctx.sync(engine_, any_cross);
-    } else if (any_cross && !ctx.partition_current(engine_)) {
-      // Synced by an earlier cross-free round in this epoch (or the
-      // partition was rebuilt since adoption): adopt late.
-      ctx.adopt_partition_from(engine_);
-    }
+    // keep pre-restart arrivals.
+    if (!ctx.in_sync_with(engine_)) ctx.sync(engine_);
     {
       // Replica margins (stale after every sync — they are not shipped,
       // see ProbeContext::sync) refresh once per round per worker.
@@ -278,7 +253,6 @@ std::uint64_t ParallelRewireScheduler::harvest_worker_counters() {
     const EngineStats window = ctx.take_stats();
     engine_.absorb_stats(window);
     engine_.absorb_session_stats(ctx.take_session_stats());
-    engine_.absorb_partition_stats(ctx.take_partition_stats());
     stats_.sync += ctx.take_sync_stats();
     probes += window.probes;
   }
@@ -335,16 +309,6 @@ int ParallelRewireScheduler::arbitrate_and_commit(
     const std::uint64_t win_id = make_move_id(round, r.group, r.move_index);
     prov.record(win_id, ProvenanceStage::ProbeWin,
                 policy == ProbePolicy::Relaxation ? r.sum_gain : r.crit_gain);
-    // CrossSg winners reference partition slots; an earlier commit that
-    // re-extracted one of their supergates stales them (not even
-    // probe-safe). The per-slot generation stamps decide — commits in
-    // unrelated regions no longer discard the round's cross-sg winners.
-    if (r.move.kind() == EngineMove::Kind::CrossSg &&
-        !engine_.cross_sg_fresh(r.move.cross_cand())) {
-      ++stats_.stale_cross_sg;
-      prov.record(win_id, ProvenanceStage::StaleCrossSg);
-      continue;
-    }
     if (committed_union.overlaps(r.sig)) {
       ++stats_.conflicted;
       prov.record(win_id, ProvenanceStage::Conflicted);
@@ -394,13 +358,6 @@ int ParallelRewireScheduler::arbitrate_and_commit(
       const ProbeGroup moves = groups[static_cast<std::size_t>(r.group)];
       for (std::size_t i = 0; i < moves.size(); ++i) {
         if (static_cast<int>(i) == r.move_index) continue;  // already probed
-        // Same per-slot staleness rule as the winner path: cross-sg
-        // candidates are only probe-safe while their generations hold.
-        if (moves[i].kind() == EngineMove::Kind::CrossSg &&
-            !engine_.cross_sg_fresh(moves[i].cross_cand())) {
-          ++stats_.stale_cross_sg;
-          continue;
-        }
         ++stats_.arbiter_probes;
         const double before = engine_.sta().critical_delay();
         const EngineObjective obj = engine_.probe(moves[i]);
@@ -426,7 +383,7 @@ int ParallelRewireScheduler::arbitrate_and_commit(
       committed_union.merge(r.sig);
       if (policy != ProbePolicy::FirstFit) stats_.gain_hist.add(live_gain);
       prov.record(chosen_id, ProvenanceStage::Committed, live_gain);
-      // Paranoid mode appends one verdict per proved Swap/CrossSg commit;
+      // Paranoid mode appends one verdict per proved Swap commit;
       // thread it onto the move's chain (resize commits append none).
       const std::vector<ProofVerdict>& verdicts = engine_.paranoid_verdicts();
       for (std::size_t v = verdicts_before; v < verdicts.size(); ++v) {

@@ -123,7 +123,6 @@ struct SchedulerStats : NamedStats<SchedulerStats> {
   std::uint64_t committed = 0;            // commits issued by the arbiter
   std::uint64_t conflicted = 0;           // winners overlapping an earlier commit
   std::uint64_t revalidation_rejects = 0; // winners whose live gain evaporated
-  std::uint64_t stale_cross_sg = 0;       // cross-sg winners dropped by epoch bump
   // Phase wall times: probe_round (worker fan-out incl. replica sync),
   // arbitration overhead, and live commits (disjoint — arbitrate excludes
   // the commit time). Replica sync cost is broken out in `sync`;
@@ -154,7 +153,6 @@ struct SchedulerStats : NamedStats<SchedulerStats> {
         StatField{"scheduler.arbiter_commits", &S::committed},
         StatField{"scheduler.conflicted", &S::conflicted},
         StatField{"scheduler.revalidation_rejects", &S::revalidation_rejects},
-        StatField{"scheduler.stale_cross_sg", &S::stale_cross_sg},
         StatField{"time.probe_s", &S::seconds_probe},
         StatField{"time.arbitrate_s", &S::seconds_arbitrate},
         StatField{"time.commit_s", &S::seconds_commit},

@@ -12,8 +12,14 @@
 // Any AND/OR supergate computes  out = c XOR AND_i (x_i == v_i)  where v_i
 // is the imp_value of leaf i and c a constant; the implementation reasons
 // entirely in this canonical form. The paper excludes cross-supergate swaps
-// from its optimizer formulation; here they are a verified capability
-// exercised by bench/fig3_cross_supergate and the test suite.
+// from its optimizer formulation, and so does the flow: the rewiring engine
+// carries only pin swaps and resizes (engine/rewire_engine.hpp). Here they
+// are a verified capability exercised by bench/fig3_cross_supergate and the
+// test suite. Reviving them in the flow takes back the engine move kind that
+// was removed with that decision (apply/undo through the functions below,
+// commit dirt, a slot-freshness check before every probe and commit, and
+// replicas that hold a slot-exact copy of the partition) plus an optimizer
+// hook that streams find_cross_sg_candidates as probe groups.
 #pragma once
 
 #include <vector>
@@ -32,10 +38,10 @@ struct CrossSgCandidate {
   int sg_b = -1;
   bool inverting = false; // enclosing swap polarity required (ES)
   /// Generation stamps of the three slots at enumeration time. The
-  /// candidate is valid (probe- and commit-safe) exactly while every slot
-  /// still carries its stamp (RewireEngine::cross_sg_fresh) — incremental
-  /// partition maintenance keeps the stamps stable across commits that do
-  /// not touch these supergates.
+  /// candidate is valid (safe to apply) exactly while every slot still
+  /// carries its stamp (GisgPartition::slot_fresh) — incremental partition
+  /// maintenance keeps the stamps stable across commits that do not touch
+  /// these supergates.
   std::uint64_t gen_enclosing = 0;
   std::uint64_t gen_a = 0;
   std::uint64_t gen_b = 0;
@@ -89,8 +95,7 @@ void apply_cross_sg_swap_into(Network& net, Placement& placement, const CellLibr
                               CrossSgEdit& edit);
 
 /// Exact rollback of apply_cross_sg_swap: drivers restored, inserted
-/// inverters deleted, DeMorgan retyping reversed. Enables transactional
-/// probing of cross-supergate moves through the RewireEngine.
+/// inverters deleted, DeMorgan retyping reversed.
 void undo_cross_sg_swap(Network& net, Placement& placement, CrossSgEdit& edit);
 
 }  // namespace rapids

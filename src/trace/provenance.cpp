@@ -10,8 +10,6 @@ const char* to_string(ProvenanceStage stage) {
   switch (stage) {
     case ProvenanceStage::ProbeWin:
       return "probe_win";
-    case ProvenanceStage::StaleCrossSg:
-      return "stale_cross_sg";
     case ProvenanceStage::Conflicted:
       return "conflicted";
     case ProvenanceStage::RevalidationReject:
@@ -92,7 +90,6 @@ int ProvenanceLog::resolve_committed_chains(std::string* diag) const {
         }
         fallback_ids.insert(rec.move_id);
         break;
-      case ProvenanceStage::StaleCrossSg:
       case ProvenanceStage::Conflicted:
       case ProvenanceStage::RevalidationReject:
         if (probe_wins.count(rec.move_id) == 0) {

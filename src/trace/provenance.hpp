@@ -25,7 +25,6 @@ namespace rapids {
 
 enum class ProvenanceStage : std::uint8_t {
   ProbeWin = 0,           // group winner entering arbitration
-  StaleCrossSg,           // cross-sg winner dropped by epoch bump
   Conflicted,             // overlapped an earlier commit this round
   RevalidationReject,     // live re-probe: gain evaporated
   FallbackChosen,         // FirstFit live rescan picked this move instead

@@ -1,6 +1,6 @@
-// RewireEngine: transactional probe/commit/rollback over swap, resize and
-// cross-supergate moves; exact-round-trip guarantees; the stale-candidate
-// contract; id recycling under probe loops.
+// RewireEngine: transactional probe/commit/rollback over swap and resize
+// moves; exact-round-trip guarantees; the stale-candidate contract; id
+// recycling under probe loops.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,7 +13,6 @@
 #include "netlist/builder.hpp"
 #include "netlist/validate.hpp"
 #include "place/placer.hpp"
-#include "rewire/cross_sg.hpp"
 #include "rewire/swap.hpp"
 #include "sizing/sizing.hpp"
 #include "sym/gisg.hpp"
@@ -263,40 +262,10 @@ TEST(RewireEngine, ResizeProbeRoundTripsExactly) {
   expect_restored(snap, f.net, f.pl, sta);
 }
 
-TEST(RewireEngine, CrossSgProbeRoundTripsExactly) {
-  // Fig. 3 shape: two same-width AND trees feeding a common OR root.
-  NetworkBuilder b;
-  const GateId x0 = b.input("x0"), x1 = b.input("x1");
-  const GateId x2 = b.input("x2"), x3 = b.input("x3");
-  const GateId t1 = b.and_({x0, x1});
-  const GateId t2 = b.and_({x2, x3});
-  b.output("y", b.or_({t1, t2}));
-  Network net = map_network(b.take(), lib035()).mapped;
-  Placement pl(net.id_bound());
-  for (const GateId g : net.gates()) pl.set(g, Point{0, 0});
-  pl.set_die(Die{});
-
-  Sta sta(net, lib035(), pl);
-  RewireEngine engine(net, pl, lib035(), sta);
-  const auto cands = find_cross_sg_candidates(engine.partition(), net);
-  ASSERT_FALSE(cands.empty());
-
-  const Network golden = net.clone();
-  const StateSnapshot snap = StateSnapshot::capture(net, pl, sta);
-  for (const CrossSgCandidate& c : cands) {
-    engine.probe(EngineMove::cross_sg(c));
-  }
-  expect_restored(snap, net, pl, sta);
-  EXPECT_TRUE(validate(net).empty());
-  EXPECT_TRUE(check_equivalence(golden, net).equivalent);
-}
-
 TEST(EngineMove, CopiesRoundTripCompareProbeAndCommitLikeTheOriginal) {
-  // Swap and Resize moves hold their payload inline; a CrossSg move holds a
-  // shared immutable candidate. A copy of any of them must read back,
-  // compare, probe and commit exactly like the move it was copied from.
-  // Fig. 3 shape (an XOR encloses two same-width AND/OR supergates, so
-  // their groups can be exchanged) beside an unrelated swappable region.
+  // Swap and Resize moves are plain values with their payload inline. A
+  // copy of either must read back, compare, probe and commit exactly like
+  // the move it was copied from.
   NetworkBuilder b;
   const GateId a = b.input("a"), bb = b.input("b"), c = b.input("c");
   const GateId d = b.input("d"), e = b.input("e"), g = b.input("g");
@@ -317,9 +286,7 @@ TEST(EngineMove, CopiesRoundTripCompareProbeAndCommitLikeTheOriginal) {
   RewireEngine engine(net, pl, lib, sta);
   RewireEngine twin(twin_net, twin_pl, lib, twin_sta);
 
-  const std::vector<CrossSgCandidate> cross = find_cross_sg_candidates(engine.partition(), net);
   const std::vector<SwapCandidate> swaps = enumerate_all_swaps(engine.partition(), net);
-  ASSERT_FALSE(cross.empty());
   ASSERT_FALSE(swaps.empty());
   GateId sized = kNullGate;
   int cell = -1;
@@ -335,19 +302,16 @@ TEST(EngineMove, CopiesRoundTripCompareProbeAndCommitLikeTheOriginal) {
 
   const EngineMove swap = EngineMove::swap(swaps.front());
   const EngineMove resize = EngineMove::resize(sized, cell);
-  const EngineMove cross_move = EngineMove::cross_sg(cross.front());
   EXPECT_EQ(swap.kind(), EngineMove::Kind::Swap);
   EXPECT_EQ(resize.kind(), EngineMove::Kind::Resize);
-  EXPECT_EQ(cross_move.kind(), EngineMove::Kind::CrossSg);
   EXPECT_EQ(swap.swap_cand(), swaps.front());
   EXPECT_EQ(resize.gate(), sized);
   EXPECT_EQ(resize.new_cell(), cell);
-  EXPECT_EQ(cross_move.cross_cand(), cross.front());
   EXPECT_EQ(EngineMove{}.kind(), EngineMove::Kind::Swap);
 
   // Copies compare equal to their originals and unequal across kinds and
   // payloads.
-  const std::vector<EngineMove> originals = {swap, resize, cross_move};
+  const std::vector<EngineMove> originals = {swap, resize};
   for (std::size_t i = 0; i < originals.size(); ++i) {
     const EngineMove copy = originals[i];
     EXPECT_EQ(copy, originals[i]) << "move " << i;
@@ -357,17 +321,6 @@ TEST(EngineMove, CopiesRoundTripCompareProbeAndCommitLikeTheOriginal) {
     }
   }
   EXPECT_FALSE(EngineMove::resize(sized, cell) == EngineMove::resize(sized, cell + 1));
-  CrossSgCandidate other = cross.front();
-  other.inverting = !other.inverting;
-  EXPECT_FALSE(EngineMove::cross_sg(other) == cross_move);
-
-  // A copied CrossSg move shares the payload; a fresh move over an equal
-  // candidate compares equal but owns its own.
-  const EngineMove cross_copy = cross_move;
-  EXPECT_EQ(&cross_copy.cross_cand(), &cross_move.cross_cand());
-  const EngineMove rebuilt = EngineMove::cross_sg(cross.front());
-  EXPECT_EQ(rebuilt, cross_move);
-  EXPECT_NE(&rebuilt.cross_cand(), &cross_move.cross_cand());
 
   // Probing a copy gives bit-identical objectives.
   for (const EngineMove& m : originals) {
@@ -379,22 +332,15 @@ TEST(EngineMove, CopiesRoundTripCompareProbeAndCommitLikeTheOriginal) {
   }
 
   // Committing copies on the twin leaves the same network and arrival bits
-  // as committing the originals. The swap comes from the partition
-  // re-extracted after the cross-supergate commit.
-  for (const EngineMove& m : {resize, cross_move}) {
+  // as committing the originals.
+  for (const EngineMove& m : originals) {
     const EngineMove copy = m;
     const EngineObjective a = engine.commit(m);
     const EngineObjective b = twin.commit(copy);
     EXPECT_EQ(a.critical, b.critical);
     EXPECT_EQ(a.sum_po, b.sum_po);
   }
-  const std::vector<SwapCandidate> after = enumerate_all_swaps(engine.partition(), net);
-  ASSERT_FALSE(after.empty());
-  const EngineMove swap_after = EngineMove::swap(after.front());
-  const EngineMove swap_copy = swap_after;
-  EXPECT_EQ(engine.commit(swap_after).sum_po, twin.commit(swap_copy).sum_po);
   EXPECT_EQ(engine.stats().swaps_committed, 1);
-  EXPECT_EQ(engine.stats().cross_sg_committed, 1);
   EXPECT_EQ(engine.stats().resizes_committed, 1);
   ASSERT_EQ(net.id_bound(), twin_net.id_bound());
   for (GateId gate = 0; gate < net.id_bound(); ++gate) {

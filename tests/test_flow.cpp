@@ -88,6 +88,7 @@ TEST(Flow, ArgsRejectMalformedValues) {
   rejects({"c432", "--seed", "-1"}, "--seed");
   rejects({"c432", "--threads", "2abc"}, "--threads");
   rejects({"c432", "--threads", "0"}, "--threads");
+  rejects({"c432", "--threads", "100000"}, "--threads");
   rejects({"c432", "--effort", "2.5x"}, "--effort");
   rejects({"c432", "--effort", ""}, "--effort");
   rejects({"c432", "--mode", "fast"}, "unknown mode");

@@ -214,7 +214,9 @@ TEST(Gisg, Figure2Supergate) {
   EXPECT_EQ(sg.type, SgType::AndOr);
   EXPECT_EQ(sg.num_leaves, 3);
   for (const CoveredPin& cp : sg.pins) {
-    if (cp.leaf) EXPECT_EQ(cp.imp_value, 0);
+    if (cp.leaf) {
+      EXPECT_EQ(cp.imp_value, 0);
+    }
   }
 }
 
@@ -253,7 +255,9 @@ TEST_P(GisgPartitionProperty, CoveredGatesAreSingleFanoutExceptRoot) {
   const GisgPartition part = extract_gisg(net);
   for (const SuperGate& sg : part.sgs) {
     for (const GateId g : sg.covered) {
-      if (g != sg.root) EXPECT_EQ(net.fanout_count(g), 1u);
+      if (g != sg.root) {
+        EXPECT_EQ(net.fanout_count(g), 1u);
+      }
     }
   }
 }

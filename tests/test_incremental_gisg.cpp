@@ -21,7 +21,6 @@
 #include "netlist/builder.hpp"
 #include "netlist/validate.hpp"
 #include "place/placer.hpp"
-#include "rewire/cross_sg.hpp"
 #include "rewire/swap.hpp"
 #include "sizing/sizing.hpp"
 #include "sym/gisg.hpp"
@@ -350,57 +349,6 @@ TEST(IncrementalGisg, DanglingInverterRemovalForcesFullRebuild) {
   const GisgPartition& part = engine.partition();
   EXPECT_EQ(engine.partition_stats().full_rebuilds, rebuilds_before + 1);
   expect_matches_fresh(part, f.net, "after remove_dangling_inverters");
-}
-
-TEST(IncrementalGisg, CrossSgGenerationsGateStaleness) {
-  // Fig. 3 fixture: XOR(AND(a,b,c), OR(d,e,g)) — one guaranteed cross-sg
-  // candidate. A swap inside an UNRELATED region must not stale it; a
-  // commit into one of its supergates must.
-  NetworkBuilder b;
-  const GateId a = b.input("a"), bb = b.input("b"), c = b.input("c");
-  const GateId d = b.input("d"), e = b.input("e"), g = b.input("g");
-  const GateId p = b.input("p"), q = b.input("q"), r = b.input("r");
-  const GateId sg1 = b.and_({a, bb, c});
-  const GateId sg2 = b.or_({d, e, g});
-  b.output("f", b.xor_({sg1, sg2}));
-  // Unrelated region with a swappable supergate.
-  b.output("h", b.and_({p, b.nor({q, r})}));
-  Network net = map_network(b.take(), lib035()).mapped;
-  Placement pl(net.id_bound());
-  for (const GateId gg : net.gates()) pl.set(gg, Point{0, 0});
-  pl.set_die(Die{});
-  Sta sta(net, lib035(), pl);
-  RewireEngine engine(net, pl, lib035(), sta);
-
-  const auto cross = find_cross_sg_candidates(engine.partition(), net);
-  ASSERT_FALSE(cross.empty());
-  const CrossSgCandidate cand = cross.front();
-  ASSERT_TRUE(engine.cross_sg_fresh(cand));
-
-  // A swap in the unrelated supergate leaves all three slots untouched.
-  const GateId enclosing_root =
-      engine.partition().sgs[static_cast<std::size_t>(cand.enclosing_sg)].root;
-  const auto swaps = enumerate_all_swaps(engine.partition(), net);
-  const SwapCandidate* unrelated = nullptr;
-  for (const SwapCandidate& s : swaps) {
-    const SuperGate* owner = engine.partition().sg_containing(s.pin_a.gate);
-    if (owner != nullptr && owner->root != enclosing_root) {
-      unrelated = &s;
-      break;
-    }
-  }
-  ASSERT_NE(unrelated, nullptr);
-  engine.commit(EngineMove::swap(*unrelated));
-  EXPECT_TRUE(engine.cross_sg_fresh(cand))
-      << "a commit in an unrelated region staled a cross-sg candidate";
-  // Still probe- and commit-safe: the engine accepts it.
-  const Network golden = net.clone();
-  engine.probe(EngineMove::cross_sg(cand));
-  engine.commit(EngineMove::cross_sg(cand));
-  EXPECT_TRUE(check_equivalence(golden, net).equivalent);
-  // That commit re-extracted the enclosing region: the candidate (and any
-  // copy of it) is now stale.
-  EXPECT_FALSE(engine.cross_sg_fresh(cand));
 }
 
 // --- optimizer / flow level --------------------------------------------------

@@ -73,7 +73,7 @@ TEST(Metrics, FlowKeySetIsStable) {
       "scheduler.accepted", "scheduler.committed", "scheduler.conflicted",
       "scheduler.revalidation_rejects", "scheduler.rounds",
       "scheduler.speculation_hits", "scheduler.speculation_wasted",
-      "scheduler.speculative_probes", "scheduler.stale_cross_sg",
+      "scheduler.speculative_probes",
       "solver.learned_deleted", "solver.learned_kept", "solver.reduce_dbs",
       "sync.bytes_delta", "sync.bytes_full", "sync.delta_commits",
       "sync.delta_syncs", "sync.full_syncs", "timing.damp_cutoffs",
@@ -89,7 +89,7 @@ TEST(Metrics, FlowKeySetIsStable) {
   // ...and the ones added since: raw counters the structs always kept but
   // never exported, and the verify stage timer.
   const std::vector<std::string> kAddedCounters = {
-      "engine.cross_sg_committed", "engine.pin_swaps_committed",
+      "engine.pin_swaps_committed",
       "proof.cache_wipes", "proof.entries_invalidated", "proof.moves_checked",
       "proof.recycled_ids_invalidated", "proof.windows_abandoned",
       "proof.windows_kept", "scheduler.arbiter_commits",

@@ -95,7 +95,9 @@ TEST_P(OptimizerInvariants, DelayNeverWorseFunctionPreserved) {
     EXPECT_EQ(r.resizes_committed, 0);
     // gsg: cell bindings of surviving original gates are untouched.
     golden.for_each_gate([&](GateId g) {
-      if (!p.net.is_deleted(g)) EXPECT_EQ(p.net.cell(g), golden.cell(g));
+      if (!p.net.is_deleted(g)) {
+        EXPECT_EQ(p.net.cell(g), golden.cell(g));
+      }
     });
   }
 }

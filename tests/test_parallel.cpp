@@ -1,5 +1,5 @@
 // Parallel rewiring scheduler: conflict detector (overlapping vs disjoint
-// cones, cross-supergate moves spanning shards, weight-balanced sharding),
+// cones, weight-balanced sharding),
 // thread pool, RNG substreams, sharded stats, replica probe equivalence,
 // replica staleness predicates and exact sync counters, the committed-gain
 // histogram, and the headline guarantee — threads {1,2,4} produce
@@ -24,7 +24,6 @@
 #include "parallel/scheduler.hpp"
 #include "session/session.hpp"
 #include "place/placer.hpp"
-#include "rewire/cross_sg.hpp"
 #include "sym/gisg.hpp"
 #include "sym/symmetry.hpp"
 #include "test_helpers.hpp"
@@ -134,9 +133,9 @@ TEST(Conflict, DisjointConesDoNotOverlap) {
   sb.pin_a = Pin{f.b1, 0};
   sb.pin_b = Pin{f.b1, 1};
   const ConflictSignature siga =
-      move_signature(f.net, nullptr, EngineMove::swap(sa), 2);
+      move_signature(f.net, EngineMove::swap(sa), 2);
   const ConflictSignature sigb =
-      move_signature(f.net, nullptr, EngineMove::swap(sb), 2);
+      move_signature(f.net, EngineMove::swap(sb), 2);
   EXPECT_FALSE(siga.overlaps(sigb));
   EXPECT_TRUE(siga.overlaps(siga));
 }
@@ -148,14 +147,14 @@ TEST(Conflict, FanoutConeMakesDownstreamMovesOverlap) {
   shallow.pin_b = Pin{f.a1, 1};
   const EngineMove resize_downstream = EngineMove::resize(f.a2, 0);
   const ConflictSignature s1 =
-      move_signature(f.net, nullptr, EngineMove::swap(shallow), 2);
-  const ConflictSignature s2 = move_signature(f.net, nullptr, resize_downstream, 2);
+      move_signature(f.net, EngineMove::swap(shallow), 2);
+  const ConflictSignature s2 = move_signature(f.net, resize_downstream, 2);
   // a2 is in the swap's fanout cone AND the resize touches a1 through its
   // fanin drivers (a1 drives one of a2's pins — same net).
   EXPECT_TRUE(s1.overlaps(s2));
   const ConflictSignature s1d0 =
-      move_signature(f.net, nullptr, EngineMove::swap(shallow), 0);
-  const ConflictSignature s2d0 = move_signature(f.net, nullptr, resize_downstream, 0);
+      move_signature(f.net, EngineMove::swap(shallow), 0);
+  const ConflictSignature s2d0 = move_signature(f.net, resize_downstream, 0);
   EXPECT_TRUE(s1d0.overlaps(s2d0));
 }
 
@@ -196,43 +195,6 @@ TEST(Conflict, OversizedComponentIsSplitForLoadBalance) {
   for (const int s : shard) ++count[static_cast<std::size_t>(s)];
   for (const int c : count) EXPECT_EQ(c, 10);
   EXPECT_EQ(shard, assign_shards(sigs, 4));
-}
-
-TEST(Conflict, CrossSgSignatureSpansBothSupergates) {
-  // Enclosing XOR makes the outputs of SG1=AND(a,b,c) and SG2=OR(d,e,g)
-  // symmetric — the Fig. 3 fixture with a guaranteed cross-sg candidate.
-  NetworkBuilder b;
-  const GateId a = b.input("a"), bb = b.input("b"), c = b.input("c");
-  const GateId d = b.input("d"), e = b.input("e"), g = b.input("g");
-  const GateId sg1 = b.and_({a, bb, c});
-  const GateId sg2 = b.or_({d, e, g});
-  b.output("f", b.xor_({sg1, sg2}));
-  Network net = b.take();
-
-  const GisgPartition part = extract_gisg(net);
-  const std::vector<CrossSgCandidate> cands = find_cross_sg_candidates(part, net);
-  ASSERT_FALSE(cands.empty());
-  const ConflictSignature sig =
-      move_signature(net, &part, EngineMove::cross_sg(cands[0]), 0);
-
-  // The signature must cover gates from BOTH spanned supergates, so
-  // conflict sharding can never split a cross-sg move's two sides across
-  // shards: any group touching either side lands in the same component.
-  const SuperGate& sga = part.sgs[static_cast<std::size_t>(cands[0].sg_a)];
-  const SuperGate& sgb = part.sgs[static_cast<std::size_t>(cands[0].sg_b)];
-  auto contains = [&sig](GateId gate) {
-    return std::binary_search(sig.touched.begin(), sig.touched.end(), gate);
-  };
-  EXPECT_TRUE(contains(sga.root));
-  EXPECT_TRUE(contains(sgb.root));
-
-  ConflictSignature side_a, side_b;
-  side_a.touched = {sga.root};
-  side_b.touched = {sgb.root};
-  std::vector<ConflictSignature> sigs = {side_a, side_b, sig};
-  const std::vector<int> shard = assign_shards(sigs, 8);
-  EXPECT_EQ(shard[0], shard[2]);
-  EXPECT_EQ(shard[1], shard[2]);
 }
 
 // --- weight-balanced conflict sharding ---------------------------------------
@@ -369,56 +331,6 @@ TEST(ProbeContextSync, RunFullInsideEpochBreaksInSyncWith) {
   EXPECT_TRUE(ctx.in_sync_with(f.engine));
   EXPECT_EQ(blif_text(ctx.replica_net()), blif_text(f.net));
   EXPECT_EQ(ctx.replica_sta().critical_delay(), f.sta.critical_delay());
-}
-
-TEST(ProbeContextSync, PartitionRebuildInsideEpochDetectedByGeneration) {
-  // Regression: invalidate_partition() + a rebuild renumbers supergate
-  // slots and re-mints generation stamps without advancing the commit
-  // epoch. A replica that adopted before the rebuild would resolve CrossSg
-  // slots against stale numbering; partition_adopted() alone cannot see it.
-  LiveFixture f(4242);
-  ProbeContext ctx(lib035(), 1, 0);
-  ctx.sync(f.engine, /*with_partition=*/true);
-  EXPECT_TRUE(ctx.partition_adopted());
-  EXPECT_TRUE(ctx.partition_current(f.engine));
-
-  const std::uint64_t gen_before = f.engine.partition().generation;
-  f.engine.invalidate_partition();
-  const std::uint64_t gen_after = f.engine.partition().generation;  // rebuilds
-  EXPECT_GT(gen_after, gen_before);  // monotone stamp — never reset
-
-  // Same epoch, same STA: the replica still *looks* synced...
-  EXPECT_TRUE(ctx.in_sync_with(f.engine));
-  // ...but its adopted partition is provably stale.
-  EXPECT_TRUE(ctx.partition_adopted());
-  EXPECT_FALSE(ctx.partition_current(f.engine));
-
-  ctx.adopt_partition_from(f.engine);
-  EXPECT_TRUE(ctx.partition_current(f.engine));
-}
-
-TEST(ProbeContextSync, SameEpochRepeatSyncReadoptsRebuiltPartition) {
-  // The sync() delta path itself must re-adopt on a stale generation, not
-  // just on a missing adoption: a repeat sync in the same epoch after a
-  // live rebuild used to keep the pre-rebuild slot bookkeeping.
-  LiveFixture f(777);
-  ProbeContext ctx(lib035(), 1, 0);
-  ctx.sync(f.engine, /*with_partition=*/true);
-
-  // Advance one epoch so the journal is live, then sync onto it.
-  const std::vector<SwapCandidate> cands =
-      enumerate_all_swaps(f.engine.partition(), f.net);
-  ASSERT_FALSE(cands.empty());
-  f.engine.commit(EngineMove::swap(cands[0]));
-  ctx.sync(f.engine, /*with_partition=*/true);
-  EXPECT_TRUE(ctx.partition_current(f.engine));
-
-  // Mid-epoch rebuild; the repeat same-epoch sync must notice and re-adopt.
-  f.engine.invalidate_partition();
-  (void)f.engine.partition();
-  EXPECT_FALSE(ctx.partition_current(f.engine));
-  ctx.sync(f.engine, /*with_partition=*/true);
-  EXPECT_TRUE(ctx.partition_current(f.engine));
 }
 
 // --- exact replica-sync counters ---------------------------------------------

@@ -72,6 +72,7 @@ TEST(Serve, RejectsMalformedJobLines) {
   EXPECT_THROW(parse_serve_job("id ckt seed=notanumber", 0), InputError);
   EXPECT_THROW(parse_serve_job("id ckt mode=frobnicate", 0), InputError);
   EXPECT_THROW(parse_serve_job("id ckt threads=0", 0), InputError);
+  EXPECT_THROW(parse_serve_job("id ckt threads=100000", 0), InputError);
   // Whole tokens only: no trailing junk, no sign on an unsigned value, and
   // verify= takes 0|1|true|false. Each of these used to be accepted.
   EXPECT_THROW(parse_serve_job("id ckt seed=-1", 0), InputError);

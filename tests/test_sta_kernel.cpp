@@ -184,7 +184,7 @@ TEST(Sta, RowsMatchFreshCompute) {
   // A replica kept current by delta sync (adopt_delta) after a full sync
   // (copy_state_from).
   ProbeContext ctx(lib, 1, 0);
-  ctx.sync(engine, false);
+  ctx.sync(engine);
   expect_rows_fresh(ctx.replica_net(), ctx.replica_placement(), ctx.replica_sta(),
                     "after copy_state_from");
 
@@ -218,7 +218,7 @@ TEST(Sta, RowsMatchFreshCompute) {
     if (!resizes.empty()) engine.commit(resizes[resizes.size() / 2]);
     expect_rows_fresh(net, pl, sta, "after commits, round " + std::to_string(round));
 
-    ctx.sync(engine, false);
+    ctx.sync(engine);
     expect_rows_fresh(ctx.replica_net(), ctx.replica_placement(), ctx.replica_sta(),
                       "after adopt_delta, round " + std::to_string(round));
   }

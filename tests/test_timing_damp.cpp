@@ -199,7 +199,9 @@ TEST(TimingDamp, DampedProbesMatchFullConeOnRandomNetwork) {
     // A PO-decrease fallback replays the deferred gates undamped, so the
     // damped walk can pop slightly MORE than the plain one on such probes;
     // absent a fallback it must never visit more.
-    if (damp.fallbacks == 0) EXPECT_LE(damp.pops, full.pops) << net.name(g);
+    if (damp.fallbacks == 0) {
+      EXPECT_LE(damp.pops, full.pops) << net.name(g);
+    }
   });
 }
 

@@ -125,7 +125,7 @@ TEST(Assert, MessageIncluded) {
 TEST(Timer, MeasuresElapsed) {
   Timer t;
   volatile double sink = 0;
-  for (int i = 0; i < 100000; ++i) sink += i;
+  for (int i = 0; i < 100000; ++i) sink = sink + i;
   EXPECT_GE(t.seconds(), 0.0);
   EXPECT_LT(t.seconds(), 10.0);
 }

@@ -269,8 +269,7 @@ int cmd_table1(const std::vector<std::string>& args) {
       full = true;
     } else if (a == "--threads") {
       if (i + 1 >= args.size()) throw InputError("missing value after --threads");
-      threads = parse_flag_value<int>(a, args[++i]);
-      if (threads < 1) throw InputError("--threads must be >= 1");
+      threads = parse_thread_count(a, args[++i]);
     } else {
       names.push_back(a);
     }
@@ -370,10 +369,7 @@ int cmd_serve(const std::vector<std::string>& args) {
     if (a == "--jobs") {
       jobs_file = next();
     } else if (a == "--max-concurrent") {
-      options.max_concurrent = parse_flag_value<int>(a, next());
-      if (options.max_concurrent < 1) {
-        throw InputError("--max-concurrent must be >= 1");
-      }
+      options.max_concurrent = parse_thread_count(a, next());
     } else {
       throw InputError("unknown serve flag: " + a);
     }
@@ -397,8 +393,7 @@ int cmd_fuzz(const std::vector<std::string>& args) {
     } else if (a == "--iters") {
       options.iterations = parse_flag_value<int>(a, next());
     } else if (a == "--threads") {
-      options.threads = parse_flag_value<int>(a, next());
-      if (options.threads < 1) throw InputError("--threads must be >= 1");
+      options.threads = parse_thread_count(a, next());
     } else if (a == "--max-gates") {
       options.max_gates = parse_flag_value<int>(a, next());
     } else if (a == "--max-inputs") {
