@@ -7,8 +7,9 @@
 //
 // probe      = one move of a MinCritical round over the script through a
 //              one-worker scheduler at min gain 1e-6: the optimizer's
-//              phase-A path, margin refresh and critical-path pruning
-//              included. "gates_per_probe" is its queue pops per probe.
+//              phase-A path, margin refresh, critical-path pruning and
+//              bounded probes included. "gates_per_probe" is its queue
+//              pops per probe.
 // full probe = RewireEngine::probe() of one script move: always propagates.
 //              "gates_per_full_probe" is its queue pops per probe.
 // Both pop counts are deterministic, so CI holds them exact.

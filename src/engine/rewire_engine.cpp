@@ -140,11 +140,10 @@ void RewireEngine::mark_commit_dirty(const EngineMove& move) {
   }
 }
 
-void RewireEngine::record_sync_journal(const EngineMove& move,
-                                       std::size_t dirty_from) {
-  // The journal can only replay commits whose partition dirt was recorded;
-  // with incremental extraction off (or the partition awaiting a full
-  // rebuild) replicas must full-sync until the next clean commit.
+void RewireEngine::record_sync_journal(const EngineMove& move) {
+  // With incremental extraction off (or the partition awaiting a full
+  // rebuild) the journal restarts: replicas full-sync until the next clean
+  // commit.
   if (!incremental_on_ || !partition_valid_) {
     sync_journal_valid_ = false;
     return;
@@ -155,7 +154,6 @@ void RewireEngine::record_sync_journal(const EngineMove& move,
     sync_gates_.clear();
     sync_arr_.clear();
     sync_nets_.clear();
-    sync_dirty_.clear();
     sync_marks_.clear();
   }
   auto row = [this](GateId g) {
@@ -177,19 +175,15 @@ void RewireEngine::record_sync_journal(const EngineMove& move,
       break;
   }
   sta_.append_txn_changed_ids(sync_arr_, sync_nets_);
-  sync_dirty_.insert(sync_dirty_.end(), pending_dirty_.begin() + dirty_from,
-                     pending_dirty_.end());
   sync_marks_.push_back({epoch_ + 1, static_cast<std::uint32_t>(sync_gates_.size()),
                          static_cast<std::uint32_t>(sync_arr_.size()),
-                         static_cast<std::uint32_t>(sync_nets_.size()),
-                         static_cast<std::uint32_t>(sync_dirty_.size())});
+                         static_cast<std::uint32_t>(sync_nets_.size())});
 }
 
 void RewireEngine::collect_sync_delta(std::uint64_t from_epoch,
                                       std::vector<GateId>& gates,
                                       std::vector<GateId>& arrivals,
-                                      std::vector<GateId>& nets,
-                                      std::vector<GateId>& dirty) const {
+                                      std::vector<GateId>& nets) const {
   RAPIDS_ASSERT_MSG(sync_delta_available(from_epoch),
                     "collect_sync_delta outside the journal's window");
   // One mark per commit since the journal (re)started: the suffix past
@@ -200,7 +194,6 @@ void RewireEngine::collect_sync_delta(std::uint64_t from_epoch,
   gates.insert(gates.end(), sync_gates_.begin() + start.gates_end, sync_gates_.end());
   arrivals.insert(arrivals.end(), sync_arr_.begin() + start.arr_end, sync_arr_.end());
   nets.insert(nets.end(), sync_nets_.begin() + start.nets_end, sync_nets_.end());
-  dirty.insert(dirty.end(), sync_dirty_.begin() + start.dirty_end, sync_dirty_.end());
 }
 
 void RewireEngine::invalidate_dirty(ProbeScratch& scratch,
@@ -255,21 +248,25 @@ EngineObjective RewireEngine::probe(const EngineMove& move) {
 
 EngineObjective RewireEngine::probe_with(ProbeScratch& scratch,
                                          const EngineMove& move,
-                                         std::span<const std::uint8_t> critical_mask) {
+                                         std::span<const std::uint8_t> critical_mask,
+                                         double abort_above) {
   ++stats_.probes;
   const std::size_t bound_before = net_.id_bound();
   sta_.begin();
   apply_and_invalidate(scratch, move);
-  const bool pruned = !critical_mask.empty() && sta_.seeds_avoid(critical_mask);
+  bool pruned = !critical_mask.empty() && sta_.seeds_avoid(critical_mask);
   if (pruned) {
     ++stats_.probes_pruned;
   } else {
     // Probes run damped (objective-exact bounded-cone propagation); every
     // commit path leaves damping off so committed state is the true fixed
-    // point. Damping stays disarmed between calls.
+    // point. Damping stays disarmed between calls. A stopped drain proved
+    // the move's critical delay above abort_above: mark it like a masked
+    // probe.
     sta_.set_damping_active(timing_damp_);
-    sta_.propagate();
+    pruned = sta_.propagate(abort_above);
     sta_.set_damping_active(false);
+    if (pruned) ++stats_.probes_bounded;
   }
   const EngineObjective obj{sta_.critical_delay(), sta_.sum_po_arrival(), pruned};
   undo_network_edit(scratch, move);
@@ -468,9 +465,8 @@ EngineObjective RewireEngine::commit(const EngineMove& move) {
   // and its replica-sync journal entry — BEFORE sta_.commit() clears the
   // STA transaction's changed-id sets and count_commit detaches the edit
   // records both read.
-  const std::size_t dirty_from = pending_dirty_.size();
   mark_commit_dirty(move);
-  record_sync_journal(move, dirty_from);
+  record_sync_journal(move);
   sta_.commit();
   count_commit(move);
   // Committed inserts consumed reserve ids; top it back up HERE (commit

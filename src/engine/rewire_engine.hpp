@@ -59,9 +59,12 @@ class Tracer;
 struct EngineObjective {
   double critical = 0.0;
   double sum_po = 0.0;
-  /// Set when probe_with() skipped propagation because no seed of the move
-  /// touched the critical-path mask. `critical` and `sum_po` then hold the
-  /// unchanged baseline, and the true probed critical delay is >= it.
+  /// Set when probe_with() cut the probe short, proving the move cannot
+  /// pass its caller's rejection line: either no seed of the move touched
+  /// the critical-path mask (`critical` and `sum_po` then hold the
+  /// unchanged baseline, and the true probed critical delay is >= it), or
+  /// propagation stopped at the probe's bound (the true probed critical
+  /// delay is > the bound; `critical` and `sum_po` are partial).
   bool pruned = false;
 };
 
@@ -137,6 +140,9 @@ struct EngineStats : NamedStats<EngineStats> {
   /// Probes (counted in `probes`) that skipped propagation because their
   /// seeds all missed the critical-path mask.
   std::uint64_t probes_pruned = 0;
+  /// Probes (counted in `probes`) whose propagation stopped once the
+  /// critical delay was proved to exceed the probe's bound.
+  std::uint64_t probes_bounded = 0;
   // Propagation-shape counters sampled from the Sta: queue pops across
   // all probe/commit transactions, margin suppressions, PO-decrease
   // fallback replays, and damping-margin refreshes.
@@ -152,6 +158,7 @@ struct EngineStats : NamedStats<EngineStats> {
                       StatField{"engine.inverters_added", &S::inverters_added},
                       StatField{"engine.probes", &S::probes},
                       StatField{"timing.probes_pruned", &S::probes_pruned},
+                      StatField{"timing.probes_bounded", &S::probes_bounded},
                       StatField{"timing.gates_propagated", &S::gates_propagated},
                       StatField{"timing.damp_cutoffs", &S::damp_cutoffs},
                       StatField{"timing.damp_fallbacks", &S::damp_fallbacks},
@@ -259,19 +266,11 @@ class RewireEngine {
   /// Append the ids every commit in (from_epoch, epoch()] changed:
   /// `gates` — structural rows (type/cell/fanins/fanouts) for
   /// Network::adopt_structural_delta; `arrivals`/`nets` — the STA slices for
-  /// Sta::adopt_delta; `dirty` — partition dirty gates (with their fanout
-  /// frontier) for the replica's own incremental maintenance. Lists may
-  /// repeat ids across commits; adoption is idempotent.
+  /// Sta::adopt_delta. Lists may repeat ids across commits; adoption is
+  /// idempotent.
   void collect_sync_delta(std::uint64_t from_epoch, std::vector<GateId>& gates,
-                          std::vector<GateId>& arrivals, std::vector<GateId>& nets,
-                          std::vector<GateId>& dirty) const;
-
-  /// Replica-side: splice a synced commit's dirty gates into this engine's
-  /// pending set so its partition tracks the source's incrementally —
-  /// identical inputs to reextract_region produce slot-exact partitions.
-  void append_pending_dirty(std::span<const GateId> gates) {
-    pending_dirty_.insert(pending_dirty_.end(), gates.begin(), gates.end());
-  }
+                          std::vector<GateId>& arrivals,
+                          std::vector<GateId>& nets) const;
 
   // --- transactional move evaluation ---------------------------------------
 
@@ -292,8 +291,14 @@ class RewireEngine {
   /// misses the mask, the edit is undone and rolled back without
   /// propagating and the result is marked `pruned` (see Sta::seeds_avoid
   /// for why the probed critical delay cannot drop below the baseline).
+  ///
+  /// `abort_above` is the caller's rejection line for the probed critical
+  /// delay (Sta::kNoBound = none): a damped probe whose propagation proves
+  /// the critical delay exceeds it stops early and is marked `pruned` too
+  /// (Sta::propagate's cut-off 3). Undamped probes ignore it.
   EngineObjective probe_with(ProbeScratch& scratch, const EngineMove& move,
-                             std::span<const std::uint8_t> critical_mask = {});
+                             std::span<const std::uint8_t> critical_mask = {},
+                             double abort_above = Sta::kNoBound);
 
   /// Apply `move` and keep it. Bumps the epoch and invalidates the
   /// partition. Returns the post-commit objective. In paranoid mode the
@@ -408,11 +413,10 @@ class RewireEngine {
   /// into the pending dirty set consumed by the next partition() call.
   /// Must run before count_commit() detaches the edit records.
   void mark_commit_dirty(const EngineMove& move);
-  /// Append this commit's changed structural rows, STA transaction ids and
-  /// partition dirty range (pending_dirty_[dirty_from..]) to the replica
-  /// sync journal. Must run while the STA transaction is still open and
-  /// before count_commit() detaches the edit records.
-  void record_sync_journal(const EngineMove& move, std::size_t dirty_from);
+  /// Append this commit's changed structural rows and STA transaction ids
+  /// to the replica sync journal. Must run while the STA transaction is
+  /// still open and before count_commit() detaches the edit records.
+  void record_sync_journal(const EngineMove& move);
   /// Paranoid mode: derive the move's exact rewired-gate set (throwaway
   /// apply/undo) and encode the pre-move window of its observation root.
   void begin_paranoid_proof(const EngineMove& move);
@@ -448,24 +452,22 @@ class RewireEngine {
   void sample_sta_counters();
 
   // Replica-sync journal: flat append-only per-commit records (structural
-  // rows, STA arrival/net ids, partition dirty gates) plus one end-offset
-  // mark per epoch. Replicas replay the suffix past their last-synced
-  // epoch; any event the journal cannot model (external mutation, reverted
-  // bench commits, incremental extraction off) simply invalidates it and
-  // the next sync falls back to the full clone path.
+  // rows, STA arrival/net ids) plus one end-offset mark per epoch. Replicas
+  // replay the suffix past their last-synced epoch; any event the journal
+  // cannot model (external mutation, reverted bench commits, incremental
+  // extraction off) simply invalidates it and the next sync falls back to
+  // the full clone path.
   struct SyncMark {
     std::uint64_t epoch = 0;
     std::uint32_t gates_end = 0;
     std::uint32_t arr_end = 0;
     std::uint32_t nets_end = 0;
-    std::uint32_t dirty_end = 0;
   };
   bool sync_journal_valid_ = false;
   std::uint64_t sync_base_epoch_ = 0;
   std::vector<GateId> sync_gates_;
   std::vector<GateId> sync_arr_;
   std::vector<GateId> sync_nets_;
-  std::vector<GateId> sync_dirty_;
   std::vector<SyncMark> sync_marks_;
 
   // The engine's own probe/commit scratch (never shrinks; steady state

@@ -38,9 +38,7 @@ void ProbeContext::sync(RewireEngine& source) {
       delta_gates_.clear();
       delta_arr_.clear();
       delta_nets_.clear();
-      delta_dirty_.clear();
-      source.collect_sync_delta(epoch_, delta_gates_, delta_arr_, delta_nets_,
-                                delta_dirty_);
+      source.collect_sync_delta(epoch_, delta_gates_, delta_arr_, delta_nets_);
       // The journal concatenates per-commit slices, and commits inside one
       // round overlap heavily (critical-path arrivals are recomputed by
       // nearly every commit). Adoption copies the source's CURRENT state,

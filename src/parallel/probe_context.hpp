@@ -148,7 +148,6 @@ class ProbeContext {
   std::vector<GateId> delta_gates_;
   std::vector<GateId> delta_arr_;
   std::vector<GateId> delta_nets_;
-  std::vector<GateId> delta_dirty_;
   // Generation-stamped seen-set for deduplicating the delta ids: an id is
   // new to the current list while its stamp differs from dedup_gen_.
   std::vector<std::uint32_t> dedup_stamp_;

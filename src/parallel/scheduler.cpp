@@ -49,17 +49,23 @@ GroupResult ParallelRewireScheduler::probe_group(RewireEngine& eng,
   GroupResult r;
   r.group = group_index;
 
+  // Each policy's rejection line for the probed critical delay: a probe
+  // proved to end above it stops early and comes back `pruned`, and no
+  // condition below could have taken it.
   switch (policy) {
     case ProbePolicy::MinCritical: {
+      const double bound = threshold >= 0.0 ? base_critical : Sta::kNoBound;
       double best_gain = 0.0;
       double best_sum_gain = 0.0;
       for (std::size_t i = 0; i < group.size(); ++i) {
         const EngineMove& move = group[i];
-        const EngineObjective obj = eng.probe_with(scratch, move, critical_mask_);
+        const EngineObjective obj =
+            eng.probe_with(scratch, move, critical_mask_, bound);
         ++r.probes;
-        // A pruned move's gain is <= 0 (Sta::seeds_avoid), and the mask is
-        // only armed for threshold >= 0: neither condition below can take
-        // it, so skipping it leaves the result unchanged.
+        // A pruned move's gain is <= 0 (Sta::seeds_avoid) or < 0 (the
+        // bound), and both are only armed for threshold >= 0: neither
+        // condition below can take it, so skipping it leaves the result
+        // unchanged.
         if (obj.pruned) continue;
         const double gain = base_critical - obj.critical;
         const double sum_gain = base_sum - obj.sum_po;
@@ -79,12 +85,13 @@ GroupResult ParallelRewireScheduler::probe_group(RewireEngine& eng,
       break;
     }
     case ProbePolicy::Relaxation: {
+      const double bound = base_critical + kCritSlack;
       double best_sum_gain = threshold;
       for (std::size_t i = 0; i < group.size(); ++i) {
         const EngineMove& move = group[i];
-        const EngineObjective obj = eng.probe_with(scratch, move);
+        const EngineObjective obj = eng.probe_with(scratch, move, {}, bound);
         ++r.probes;
-        if (obj.critical > base_critical + kCritSlack) continue;
+        if (obj.pruned || obj.critical > bound) continue;
         const double sum_gain = base_sum - obj.sum_po;
         if (sum_gain > best_sum_gain) {
           r.move = move;
@@ -100,9 +107,9 @@ GroupResult ParallelRewireScheduler::probe_group(RewireEngine& eng,
     case ProbePolicy::FirstFit: {
       for (std::size_t i = 0; i < group.size(); ++i) {
         const EngineMove& move = group[i];
-        const EngineObjective obj = eng.probe_with(scratch, move);
+        const EngineObjective obj = eng.probe_with(scratch, move, {}, threshold);
         ++r.probes;
-        if (obj.critical <= threshold) {
+        if (!obj.pruned && obj.critical <= threshold) {
           r.move = move;
           r.move_index = static_cast<int>(i);
           r.has_move = true;

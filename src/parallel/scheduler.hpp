@@ -73,14 +73,17 @@ using ProbeGroup = std::span<const EngineMove>;
 enum class ProbePolicy : std::uint8_t {
   /// Maximize critical-delay gain (phase A); threshold = minimum gain.
   /// With threshold >= 0, a move whose timing seeds all miss the round's
-  /// critical path is rolled back unpropagated (it cannot gain).
+  /// critical path is rolled back unpropagated (it cannot gain), and a
+  /// probe stops once its critical delay is proved above the baseline.
   MinCritical,
   /// Maximize sum-of-PO-arrival gain without degrading the critical delay
-  /// (phase B); threshold = minimum sum gain.
+  /// (phase B); threshold = minimum sum gain. A probe stops once its
+  /// critical delay is proved above the baseline plus the degrade slack.
   Relaxation,
   /// First move (caller pre-orders, e.g. by area ascending) whose probed
   /// critical delay stays within threshold (an absolute budget, not a
-  /// gain); used by area recovery.
+  /// gain); used by area recovery. A probe stops once its critical delay
+  /// is proved above threshold.
   FirstFit,
 };
 

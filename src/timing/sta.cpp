@@ -43,6 +43,22 @@ ArcKind arc_kind(GateType t) {
   return ArcKind::Both;
 }
 
+// Longest path delays to the primary outputs through one sink gate's arc:
+// the input-rise and input-fall transitions, given the sink output's own
+// reach `out` and its arc delays `d`.
+RiseFall reach_through(ArcKind arc, const RiseFall& d, const RiseFall& out) {
+  RiseFall in{-kInf, -kInf};
+  if (arc == ArcKind::Positive || arc == ArcKind::Both) {
+    in.rise = std::max(in.rise, d.rise + out.rise);
+    in.fall = std::max(in.fall, d.fall + out.fall);
+  }
+  if (arc == ArcKind::Negative || arc == ArcKind::Both) {
+    in.rise = std::max(in.rise, d.fall + out.fall);
+    in.fall = std::max(in.fall, d.rise + out.rise);
+  }
+  return in;
+}
+
 ArcSense arc_sense_of(ArcKind k) {
   switch (k) {
     case ArcKind::Positive:
@@ -420,6 +436,7 @@ void Sta::resize_slots(std::size_t n) {
   // fresh <= req_damp test, so they are never suppressed either.
   level_.resize(n, kNoLevel);
   if (!req_damp_.empty()) req_damp_.resize(n, RiseFall{-kInf, -kInf});
+  if (!reach_.empty()) reach_.resize(n, RiseFall{-kInf, -kInf});
 }
 
 void Sta::grow() { resize_slots(net_.id_bound()); }
@@ -444,6 +461,16 @@ void Sta::push(GateId g) {
   const std::size_t b = bucket_of(g);
   buckets_[b].push_back(g);
   queued_bits_[b / 64] |= std::uint64_t{1} << (b % 64);
+}
+
+void Sta::clear_queue() {
+  for (std::size_t b = next_queued_bucket(0); b < buckets_.size();
+       b = next_queued_bucket(b + 1)) {
+    for (const GateId g : buckets_[b]) in_queue_[g] = Flag::Off;
+    buckets_[b].clear();
+    queued_bits_[b / 64] &= ~(std::uint64_t{1} << (b % 64));
+  }
+  bucket_cur_ = 0;
 }
 
 std::size_t Sta::next_queued_bucket(std::size_t from) const {
@@ -485,7 +512,7 @@ bool Sta::seeds_avoid(std::span<const std::uint8_t> mask) const {
   return true;
 }
 
-void Sta::propagate() {
+bool Sta::propagate(double abort_above) {
   RAPIDS_ASSERT(in_txn_);
   // Level-ordered relaxation to the fixed point (see the header). Seeds
   // are recomputed unconditionally; a gate's fanouts are queued when its
@@ -497,13 +524,18 @@ void Sta::propagate() {
     // A reverted commit invalidates the nets of the inverters it deleted.
     if (!net_.is_deleted(s)) push(s);
   }
-  seeds_.clear();
 
   std::size_t iterations = 0;
   const std::size_t hard_cap = 64 * (net_.num_gates() + 16);
   bool po_decreased = false;
   bool po_stored = false;
-  const auto drain = [&](bool damp) {
+  bool stopped = false;
+  // The rounding guard of the ceilings (see refresh_damping_margins) also
+  // absorbs the skew between the backward reach sums and forward arrivals.
+  constexpr double kBoundGuard = 1e-6;
+  const double bound = abort_above + kBoundGuard;
+  // A bounded drain that stops returns with the queue emptied.
+  const auto drain = [&](bool damp, bool bounded) {
     for (std::size_t b = next_queued_bucket(0); b < buckets_.size();
          b = next_queued_bucket(b + 1)) {
       bucket_cur_ = b;
@@ -544,6 +576,16 @@ void Sta::propagate() {
           ++damp_cutoffs_;
           continue;
         }
+        // Cut-off 3: g sits strictly above every seed and is popped in its
+        // own bucket, so its refresh-time paths to the outputs are intact
+        // and `fresh` is at most its final arrival (see the header).
+        if (bounded && level_[g] > txn_max_dirty_level_ &&
+            static_cast<std::size_t>(level_[g]) == b &&
+            (fresh.rise + reach_[g].rise > bound || fresh.fall + reach_[g].fall > bound)) {
+          clear_queue();
+          stopped = true;
+          return;
+        }
         const bool is_po = rows_[g].arc == ArcKind::Output;
         if (is_po && (fresh.rise < arrival_[g].rise || fresh.fall < arrival_[g].fall)) {
           po_decreased = true;
@@ -559,24 +601,50 @@ void Sta::propagate() {
     }
     bucket_cur_ = 0;
   };
-  drain(damp_active_ && margins_valid_);
-  if (po_decreased && !deferred_.empty()) {
+  const bool damp = damp_active_ && margins_valid_;
+  drain(damp, damp && abort_above < kNoBound);
+  if (stopped) {
+    if (damp_diff_) {
+      // Differential self-check: finish undamped and unbounded from every
+      // gate whose inputs changed this transaction — the seeds, the sinks
+      // of every rebuilt net and the fanouts of every stored arrival — and
+      // require the final critical delay to exceed the bound.
+      for (const GateId s : seeds_) {
+        if (!net_.is_deleted(s)) push(s);
+      }
+      for (const GateId d : txn_dirty_nets_) {
+        if (net_.is_deleted(d)) continue;
+        net_dirty_[d] = Flag::On;
+        push(d);
+      }
+      for (const auto& [g, a] : saved_arrivals_) {
+        (void)a;
+        for (const Pin& pin : net_.fanouts(g)) push(pin.gate);
+      }
+      drain(false, false);
+      recompute_po_objectives();
+      RAPIDS_ASSERT_MSG(critical_delay_ > abort_above,
+                        "timing-damp-diff: bounded probe stopped above " +
+                            std::to_string(abort_above) + " but its critical delay is " +
+                            std::to_string(critical_delay_));
+    }
+  } else if (po_decreased && !deferred_.empty()) {
     // A primary output dropped below the arrival the ceilings were seeded
     // from, so a suppressed increase elsewhere could now own the max.
     // Deferred gates stored nothing — replay them undamped.
     ++damp_fallbacks_;
     for (const GateId g : deferred_) push(g);
     deferred_.clear();
-    drain(false);
+    drain(false, false);
   }
-  if (damp_diff_ && !deferred_.empty()) {
+  if (!stopped && damp_diff_ && !deferred_.empty()) {
     // Differential self-check: finishing the drain undamped must leave
     // every primary-output arrival bit-identical to the damped fixed point.
     diff_po_.clear();
     for (const GateId po : net_.primary_outputs()) diff_po_.push_back(arrival_[po]);
     for (const GateId g : deferred_) push(g);
     deferred_.clear();
-    drain(false);
+    drain(false, false);
     std::size_t i = 0;
     for (const GateId po : net_.primary_outputs()) {
       RAPIDS_ASSERT_MSG(!differs(arrival_[po], diff_po_[i]),
@@ -589,11 +657,13 @@ void Sta::propagate() {
       ++i;
     }
   }
+  seeds_.clear();
   gates_propagated_ += iterations;  // every pop of every drain
   // Unstored primary outputs keep their arrivals, so the cached objectives
   // stay exact without a pass over the outputs.
   if (po_stored) recompute_po_objectives();
   required_valid_ = false;
+  return stopped;
 }
 
 void Sta::rollback() {
@@ -770,29 +840,41 @@ void Sta::refresh_damping_margins() {
   // accumulated double rounding error (~1e-10 over the deepest paths)
   // while staying far below real slack margins, and --timing-damp-diff
   // bit-checks the resulting exactness on every damped propagation.
+  //
+  // The same walk records reach(g), the longest path delay from g's output
+  // to any primary output per transition (outputs anchor at 0): the
+  // bounded-probe cut-off's lower bound on what an arrival at g adds.
   constexpr double kDampGuard = 1e-6;
   req_damp_.assign(arrival_.size(), RiseFall{kInf, kInf});
+  reach_.assign(arrival_.size(), RiseFall{-kInf, -kInf});
   for (const GateId po : net_.primary_outputs()) {
     req_damp_[po] = RiseFall{arrival_[po].rise - kDampGuard,
                              arrival_[po].fall - kDampGuard};
+    reach_[po] = RiseFall{0.0, 0.0};
   }
   for (const GateId g : reverse_topological_order(net_)) {
     if (rows_[g].arc == ArcKind::Output) continue;
     RiseFall req = req_damp_[g];
+    RiseFall reach = reach_[g];
     for (const Pin& pin : net_.fanouts(g)) {
       const GateId h = pin.gate;
       const double wire = pin_delay_[pin.gate * pin_stride_ + pin.index];
       RiseFall through{kInf, kInf};
+      RiseFall reach_in = reach_[h];
       if (rows_[h].arc == ArcKind::Output) {
         through = req_damp_[h];
       } else {
         accumulate_arc_required(arc_sense_of(rows_[h].arc), req_damp_[h],
                                 rows_[h].delay, through);
+        reach_in = reach_through(rows_[h].arc, rows_[h].delay, reach_[h]);
       }
       req.rise = std::min(req.rise, through.rise - wire);
       req.fall = std::min(req.fall, through.fall - wire);
+      reach.rise = std::max(reach.rise, reach_in.rise + wire);
+      reach.fall = std::max(reach.fall, reach_in.fall + wire);
     }
     req_damp_[g] = req;
+    reach_[g] = reach;
   }
   margins_valid_ = true;
   ++margin_refreshes_;

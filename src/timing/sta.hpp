@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -147,9 +148,16 @@ class Sta {
   /// the probed critical delay is >= the current one. Callers that only
   /// accept a positive critical gain may skip propagate() for such a move.
   bool seeds_avoid(std::span<const std::uint8_t> mask) const;
+  /// No bound: propagate() runs to the fixed point.
+  static constexpr double kNoBound = std::numeric_limits<double>::infinity();
   /// Re-evaluate arrivals from all dirty seeds until the fixed point.
   /// Updates critical_delay(). Required times/slacks become stale.
-  void propagate();
+  ///
+  /// With a finite `abort_above` (cut-off 3 below), returns true when the
+  /// drain stopped because the probed critical delay is proved to exceed
+  /// it; critical_delay() and sum_po_arrival() then hold partial values
+  /// and the transaction must be rolled back. Returns false otherwise.
+  bool propagate(double abort_above = kNoBound);
   /// Discard the transaction: restore arrivals, net caches, critical delay.
   void rollback();
   /// Keep the transaction's results.
@@ -174,7 +182,7 @@ class Sta {
   // fixed point of a DAG is unique, and every gate is recomputed after its
   // last fanin change.
   //
-  // Two objective-exact cut-offs keep probe cost proportional to the real
+  // Three objective-exact cut-offs keep probe cost proportional to the real
   // timing disturbance instead of the structural fanout cone:
   //
   //  1. Exact termination (always on): a popped gate whose recomputed
@@ -201,6 +209,24 @@ class Sta {
   //     drain completes undamped — deferred gates stored nothing, so this
   //     is exact).
   //
+  //  3. Bounded probes (only with a finite abort_above, damping armed and
+  //     margins fresh): the margin refresh also records, per gate, its
+  //     longest rise/fall path delay to any primary output (reach). When a
+  //     gate popped in its own level bucket, strictly above every seed's
+  //     level, has fresh arrival + reach > abort_above + 1e-6, the drain
+  //     stops, empties the queue and reports the stop. Such a gate's
+  //     downstream paths hold only refresh-time rows and wires: every
+  //     edited pin, rebuilt net and touched row hangs off a seed below it
+  //     (a minted, unlevelled seed disables the cut for the transaction).
+  //     With levels current above the seeds its fanins have settled, and
+  //     deferred increases only lower the popped value, so the value is at
+  //     most the gate's final arrival. Max/+ composition is monotone, so
+  //     some primary output ends above abort_above: the move's critical
+  //     delay exceeds the caller's rejection line, and the cut changes no
+  //     accepted move. Under set_damp_diff a stopped drain is finished
+  //     undamped and unbounded, and the final critical delay must exceed
+  //     abort_above.
+  //
   // Margins are invalidated by any state-changing commit(), run_full(),
   // copy_state_from() and adopt_delta(); rollback() restores state exactly
   // and leaves them valid. Commits must run with damping inactive so the
@@ -213,12 +239,14 @@ class Sta {
   bool damping_active() const { return damp_active_; }
   /// Differential self-check: after a damped fixed point, finish the
   /// drain undamped and assert every primary-output arrival is
-  /// bit-identical. Throws InternalError on mismatch.
+  /// bit-identical; after a bounded stop, finish it undamped and unbounded
+  /// and assert the critical delay exceeds the bound. Throws InternalError
+  /// on a violation.
   void set_damp_diff(bool on) { damp_diff_ = on; }
   bool damp_diff() const { return damp_diff_; }
-  /// Recompute per-gate damping ceilings and forward levels from the
-  /// current (committed, fixed-point) state. O(n) reverse pass; call at
-  /// round granularity, never per-probe.
+  /// Recompute per-gate damping ceilings, path delays to the primary
+  /// outputs and forward levels from the current (committed, fixed-point)
+  /// state. O(n) reverse pass; call at round granularity, never per-probe.
   void refresh_damping_margins();
   bool margins_valid() const { return margins_valid_; }
 
@@ -299,6 +327,8 @@ class Sta {
   std::size_t bucket_of(GateId g) const;
   /// Lowest bucket >= `from` with queued gates; buckets_.size() if none.
   std::size_t next_queued_bucket(std::size_t from) const;
+  /// Drop every queued gate (a bounded drain's stop).
+  void clear_queue();
   /// Record a transaction seed's forward level into txn_max_dirty_level_
   /// (gates minted after the last margin refresh disable damping for the
   /// whole transaction).
@@ -336,10 +366,13 @@ class Sta {
   std::vector<Flag> in_queue_;
   std::size_t bucket_cur_ = 0;  // bucket being drained (0 outside a drain)
 
-  // Damped-propagation state. req_damp_ is refreshed with level_ by
-  // refresh_damping_margins(); slots minted after a refresh (mid-txn
-  // inverters) get never-suppress sentinels until the next refresh.
+  // Damped-propagation state. req_damp_ and reach_ are refreshed with
+  // level_ by refresh_damping_margins(); slots minted after a refresh
+  // (mid-txn inverters) get never-suppress sentinels until the next refresh.
   std::vector<RiseFall> req_damp_;  // PO-seeded per-gate arrival ceiling
+  // Longest rise/fall path delay from the gate's output to any primary
+  // output (0 at an output, -inf with no path); the bounded-probe cut-off.
+  std::vector<RiseFall> reach_;
   bool margins_valid_ = false;
   bool damp_active_ = false;
   bool damp_diff_ = false;

@@ -93,7 +93,8 @@ TEST(Metrics, FlowKeySetIsStable) {
       "proof.cache_wipes", "proof.entries_invalidated", "proof.moves_checked",
       "proof.recycled_ids_invalidated", "proof.windows_abandoned",
       "proof.windows_kept", "scheduler.arbiter_commits",
-      "scheduler.arbiter_probes", "scheduler.worker_probes", "sync.syncs"};
+      "scheduler.arbiter_probes", "scheduler.worker_probes", "sync.syncs",
+      "timing.probes_bounded"};
   const std::vector<std::string> kAddedGauges = {"time.verify_s"};
 
   for (const auto& [circuit, threads, paranoid] :

@@ -2,7 +2,8 @@
 // probe/rollback/commit script are hashed against values captured before
 // the kernel moved to flat timing rows and level-ordered propagation; the
 // rows are checked against a fresh computation after every kind of edit;
-// and critical-path pruning is checked against unpruned probes.
+// and critical-path pruning and bounded probes are checked against
+// unpruned, unbounded probes.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -315,6 +316,120 @@ TEST(CriticalPathPruning, OnlyNonNegativeMinCriticalRoundsPrune) {
     EXPECT_EQ(pruned_by(ProbePolicy::Relaxation, 1e-6), 0u) << threads;
     EXPECT_EQ(pruned_by(ProbePolicy::FirstFit, sta.critical_delay()), 0u) << threads;
   }
+}
+
+TEST(BoundedProbe, StoppedProbesExceedTheirBound) {
+  // Oracle: probe every move with the MinCritical line (the baseline) as
+  // its bound and again unbounded. A stop must mean the unbounded critical
+  // delay is above the bound; a probe that ran to the end must return
+  // exactly what the unbounded probe returns. A second bounded pass under
+  // the damp-diff self-check finishes every stopped drain and must agree.
+  const CellLibrary& lib = lib035();
+  for (const char* name : {"c432", "c6288", "gen:3000"}) {
+    Network net = circuit(name);
+    PlacerOptions popt;
+    popt.effort = 2.0;
+    popt.num_temps = 8;
+    Placement pl = place(net, lib, popt);
+    Sta sta(net, lib, pl);
+    RewireEngine engine(net, pl, lib, sta);
+    engine.refresh_timing_margins();
+    const double base = sta.critical_delay();
+
+    ProbeScratch scratch;
+    const std::vector<EngineMove> moves = all_moves(engine, lib);
+    std::vector<bool> stops;
+    std::uint64_t stopped = 0;
+    std::uint64_t kept = 0;
+    for (const EngineMove& m : moves) {
+      const EngineObjective bounded = engine.probe_with(scratch, m, {}, base);
+      const EngineObjective full = engine.probe_with(scratch, m);
+      ASSERT_FALSE(full.pruned);
+      stops.push_back(bounded.pruned);
+      if (bounded.pruned) {
+        ++stopped;
+        EXPECT_GT(full.critical, base) << name;
+      } else {
+        ++kept;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(bounded.critical),
+                  std::bit_cast<std::uint64_t>(full.critical))
+            << name;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(bounded.sum_po),
+                  std::bit_cast<std::uint64_t>(full.sum_po))
+            << name;
+      }
+    }
+    EXPECT_GT(stopped, 0u) << name;
+    EXPECT_GT(kept, 0u) << name;
+    EXPECT_EQ(engine.stats().probes_bounded, stopped) << name;
+    EXPECT_EQ(engine.stats().probes_pruned, 0u) << name;
+
+    engine.set_timing_damp_diff(true);
+    for (std::size_t i = 0; i < moves.size(); ++i) {
+      EXPECT_EQ(engine.probe_with(scratch, moves[i], {}, base).pruned, stops[i]) << name;
+    }
+    EXPECT_EQ(engine.stats().probes_bounded, 2 * stopped) << name;
+  }
+}
+
+TEST(BoundedProbe, OnlyRoundsWithARejectionLineStop) {
+  const CellLibrary& lib = lib035();
+  Network net = circuit("c6288");
+  PlacerOptions popt;
+  popt.effort = 2.0;
+  popt.num_temps = 8;
+  Placement pl = place(net, lib, popt);
+  Sta sta(net, lib, pl);
+  RewireEngine engine(net, pl, lib, sta);
+  std::vector<std::vector<EngineMove>> lists;
+  for (const EngineMove& m : all_moves(engine, lib)) {
+    if (lists.empty() || lists.back().size() == 8) lists.emplace_back();
+    lists.back().push_back(m);
+  }
+  const std::vector<ProbeGroup> groups(lists.begin(), lists.end());
+  const double budget = sta.critical_delay();
+  const std::vector<std::pair<ProbePolicy, double>> rounds = {
+      {ProbePolicy::MinCritical, 1e-6}, {ProbePolicy::MinCritical, -1e-3},
+      {ProbePolicy::Relaxation, 1e-6}, {ProbePolicy::FirstFit, budget}};
+  SessionContext session("default");
+  std::vector<std::vector<GroupResult>> reference;
+  for (const int threads : {1, 2}) {
+    SchedulerOptions sopt;
+    sopt.threads = threads;
+    ParallelRewireScheduler sched(engine, session, sopt);
+    for (std::size_t k = 0; k < rounds.size(); ++k) {
+      const auto [policy, threshold] = rounds[k];
+      const std::uint64_t before = engine.stats().probes_bounded;
+      const std::vector<GroupResult> results = sched.probe_round(groups, policy, threshold);
+      const std::uint64_t stopped = engine.stats().probes_bounded - before;
+      if (policy == ProbePolicy::MinCritical && threshold < 0.0) {
+        EXPECT_EQ(stopped, 0u) << threads;
+      } else {
+        EXPECT_GT(stopped, 0u) << threads << " round " << k;
+      }
+      if (threads == 1) {
+        reference.push_back(results);
+        continue;
+      }
+      ASSERT_EQ(results.size(), reference[k].size());
+      for (std::size_t g = 0; g < results.size(); ++g) {
+        const GroupResult& a = reference[k][g];
+        const GroupResult& b = results[g];
+        EXPECT_EQ(a.has_move, b.has_move) << "round " << k << " group " << g;
+        EXPECT_EQ(a.move_index, b.move_index) << "round " << k << " group " << g;
+        EXPECT_EQ(a.probes, b.probes) << "round " << k << " group " << g;
+        EXPECT_EQ(a.crit_gain, b.crit_gain) << "round " << k << " group " << g;
+        EXPECT_EQ(a.sum_gain, b.sum_gain) << "round " << k << " group " << g;
+      }
+    }
+  }
+  // Without damping there are no margins, and no bound either.
+  SchedulerOptions undamped;
+  undamped.timing_damp = false;
+  ParallelRewireScheduler sched(engine, session, undamped);
+  const std::uint64_t before = engine.stats().probes_bounded;
+  for (const auto& [policy, threshold] : rounds) sched.probe_round(groups, policy, threshold);
+  EXPECT_EQ(engine.stats().probes_bounded, before);
 }
 
 }  // namespace

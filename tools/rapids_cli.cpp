@@ -210,6 +210,7 @@ int cmd_flow(const std::vector<std::string>& args) {
     std::cout << "timing: " << propagated << " gates propagated ("
               << visited / static_cast<double>(probes) << " per probe), "
               << count("timing.probes_pruned") << " probes pruned off the critical path, "
+              << count("timing.probes_bounded") << " stopped at their bound, "
               << cutoffs << " damp cutoffs ("
               << (visited + suppressed > 0.0
                       ? 100.0 * suppressed / (visited + suppressed)
