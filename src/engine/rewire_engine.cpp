@@ -141,13 +141,8 @@ void RewireEngine::mark_commit_dirty(const EngineMove& move) {
 }
 
 void RewireEngine::record_sync_journal(const EngineMove& move) {
-  // With incremental extraction off (or the partition awaiting a full
-  // rebuild) the journal restarts: replicas full-sync until the next clean
-  // commit.
-  if (!incremental_on_ || !partition_valid_) {
-    sync_journal_valid_ = false;
-    return;
-  }
+  // The journal holds structural rows and STA ids only; replicas never read
+  // the partition, so partition maintenance does not restart it.
   if (!sync_journal_valid_) {
     sync_journal_valid_ = true;
     sync_base_epoch_ = epoch_;  // pre-increment: this commit becomes epoch_+1
@@ -353,23 +348,12 @@ void RewireEngine::begin_paranoid_proof(const EngineMove& move) {
   RAPIDS_ASSERT_MSG(sg != nullptr, "swap pin outside any supergate");
   const GateId root = sg->root;
 
-  // The swap rewires its two pins' gates; derive the inverters it creates
-  // with a throwaway apply/undo (the probe guarantee: state is restored
-  // bit-exactly), then encode the pre-move window.
+  // The swap rewires its two pins' gates, both live before the move (the
+  // inverters it creates are read from the real apply in commit()); encode
+  // the pre-move window.
   paranoid_changed_.clear();
   paranoid_changed_.push_back(move.swap_cand().pin_a.gate);
   paranoid_changed_.push_back(move.swap_cand().pin_b.gate);
-  sta_.begin();
-  apply_and_invalidate(scratch_, move);
-  paranoid_created_ = scratch_.swap_edit.added_inverters;
-  undo_network_edit(scratch_, move);
-  sta_.rollback();
-  // Created gates do not exist pre-move; the changed set must not name them.
-  for (const GateId c : paranoid_created_) {
-    paranoid_changed_.erase(
-        std::remove(paranoid_changed_.begin(), paranoid_changed_.end(), c),
-        paranoid_changed_.end());
-  }
   ensure_prover();
   if (session_) {
     session_->begin(net_, std::span<const GateId>{&root, 1}, paranoid_changed_);
@@ -397,9 +381,7 @@ EngineObjective RewireEngine::commit(const EngineMove& move) {
                    : (paranoid_ ? paranoid_->stats().conflicts : 0);
       return now - conflicts_before + extra;
     };
-    // The move re-inserts inverters; re-read the created set from the real
-    // apply's edit record (ids can differ from the throwaway apply only in
-    // recycling order, but take no chances).
+    // The inverters the move created, from the apply's edit record.
     paranoid_created_ = scratch_.swap_edit.added_inverters;
     std::string diag;
     const bool window_ok =

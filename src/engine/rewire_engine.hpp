@@ -28,7 +28,7 @@
 //
 // Probing is allocation-free after warm-up: the swap edit record, the
 // dirty-net scratch and the STA journal all reuse their storage, which is
-// what bench/micro_engine gauges.
+// what `rapids bench engine` gauges.
 #pragma once
 
 #include <cstdint>
@@ -233,7 +233,7 @@ class RewireEngine {
   /// Incremental maintenance switch (default on). When off, every commit
   /// invalidates the whole partition and the next partition() call pays a
   /// full O(network) re-extraction — the pre-incremental behavior, kept as
-  /// an A/B lever for bench/incremental_extract and as a fallback.
+  /// an A/B lever for `rapids bench extract` and as a fallback.
   void set_incremental_extraction(bool on) { incremental_on_ = on; }
   bool incremental_extraction() const { return incremental_on_; }
 
@@ -255,9 +255,9 @@ class RewireEngine {
   /// True when the sync journal can replay every commit in (from_epoch,
   /// epoch()] — i.e. a replica that last synced at `from_epoch` can adopt
   /// the delta instead of re-cloning the whole network. False after
-  /// invalidate_partition(), commit_and_revert(), or a commit made with
-  /// incremental extraction off; the journal restarts at the next clean
-  /// commit, so replicas pay one full sync and then return to deltas.
+  /// invalidate_partition() or commit_and_revert(); the journal restarts at
+  /// the next commit, so replicas pay one full sync and then return to
+  /// deltas.
   bool sync_delta_available(std::uint64_t from_epoch) const {
     return sync_journal_valid_ && from_epoch >= sync_base_epoch_ &&
            from_epoch <= epoch_;
@@ -454,9 +454,8 @@ class RewireEngine {
   // Replica-sync journal: flat append-only per-commit records (structural
   // rows, STA arrival/net ids) plus one end-offset mark per epoch. Replicas
   // replay the suffix past their last-synced epoch; any event the journal
-  // cannot model (external mutation, reverted bench commits, incremental
-  // extraction off) simply invalidates it and the next sync falls back to
-  // the full clone path.
+  // cannot model (external mutation, reverted bench commits) simply
+  // invalidates it and the next sync falls back to the full clone path.
   struct SyncMark {
     std::uint64_t epoch = 0;
     std::uint32_t gates_end = 0;

@@ -169,6 +169,9 @@ std::string check_exactness(const PreparedCircuit& prepared, const CellLibrary& 
   const std::string ref_blif = blif_text(ref.optimized);
 
   std::optional<std::vector<std::uint8_t>> session_verdicts;  // of the session prover
+  if (ref_options.opt.paranoid && ref_options.opt.sat_session) {
+    session_verdicts = ref.result.paranoid_verdicts;
+  }
   for (const ExactnessOracle& row : rows) {
     FlowOptions options = ref_options;
     row.apply(options.opt, threads);

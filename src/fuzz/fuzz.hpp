@@ -54,7 +54,8 @@ using ExactnessObserver =
 /// swap/resize counts must equal the reference's, and it must verify when
 /// `base.verify` is set. Paranoid runs with an inconclusive proof verdict
 /// skip the netlist checks, and the per-move prover's verdicts must match
-/// the session prover's move for move. Returns "" on success, else
+/// the session prover's move for move (the reference's, when `base` is
+/// paranoid, else the last session row's). Returns "" on success, else
 /// "<row>: detail" for the first failure; a self-check throw in a row is
 /// that row's failure. An exception in the reference run propagates.
 std::string check_exactness(const PreparedCircuit& prepared, const CellLibrary& lib,

@@ -64,7 +64,7 @@ Network make_large_circuit(const LargeCircuitOptions& options) {
   // pool resets to the primary inputs. Logic depth is therefore bounded by
   // one column regardless of the gate target — the circuit grows WIDE with
   // size, not deep, so per-probe incremental STA cost stays flat from 10k
-  // to 500k gates (the property bench/scale_flow measures).
+  // to 500k gates (the property `rapids bench scale` measures).
   constexpr std::size_t kColumnBlocks = 24;
   std::vector<GateId> pool = inputs;
 

@@ -10,7 +10,7 @@
 //
 // Deterministic: one (target_gates, seed) pair reproduces one circuit
 // byte-for-byte. Used by `rapids flow gen:<gates>[:seed]` and
-// bench/scale_flow.
+// `rapids bench scale`.
 #pragma once
 
 #include <cstdint>

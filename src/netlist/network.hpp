@@ -292,7 +292,7 @@ class Network {
                               : fanout_dirty_list_.size();
   }
   /// Lifetime counters: canonicalize_fanout_order() invocations and the
-  /// total fanout lists actually re-sorted by them (bench/scale_flow's
+  /// total fanout lists actually re-sorted by them (`rapids bench scale`'s
   /// "gates re-canonicalized per commit" metric).
   std::uint64_t canonicalize_calls() const { return canonicalize_calls_; }
   std::uint64_t gates_canonicalized() const { return gates_canonicalized_; }

@@ -81,7 +81,7 @@ struct OptimizerOptions {
   /// untouched supergates are reused across rounds. false re-extracts the
   /// whole network after every commit and rebuilds every group — the
   /// pre-incremental behavior, kept as an A/B lever (the final netlist is
-  /// identical either way; bench/incremental_extract measures the gap).
+  /// identical either way; `rapids bench extract` measures the gap).
   bool incremental_extraction = true;
   /// Self-check: after every incremental partition update, cross-check
   /// against a fresh full extraction and abort on any canonical difference

@@ -64,7 +64,7 @@ void ProbeContext::sync(RewireEngine& source) {
       bytes += sta_->adopt_delta(source.sta(), delta_arr_, delta_nets_, delta_gates_);
       sync_stats_.bytes_delta += bytes;
       // One epoch per commit: the span is the per-commit denominator for
-      // the O(dirty) gauge in bench/scale_flow.
+      // the O(dirty) gauge in `rapids bench scale`.
       sync_stats_.delta_commits += source.epoch() - epoch_;
       epoch_ = source.epoch();
       // Count only epoch-advancing replays: a same-epoch repeat call does no

@@ -10,7 +10,7 @@
 // and buffers absorbed at their pins (the "supergate network").
 //
 // The algorithm touches every gate and pin a constant number of times:
-// it is linear in network size (bench/linear_scaling demonstrates this).
+// it is linear in network size (`rapids bench linear` demonstrates this).
 //
 // Incremental maintenance: because the partition is UNIQUE (independent of
 // extraction order) and supergates never cross fanout-free-region (FFR)

@@ -62,6 +62,7 @@ DiffReport diff_metrics_json(const std::string& before_text,
   report.keys_before = before.size();
   report.keys_after = after.size();
 
+  std::vector<bool> matched(rules.size(), false);
   auto bi = before.begin();
   auto ai = after.begin();
   while (bi != before.end() || ai != after.end()) {
@@ -86,18 +87,32 @@ DiffReport diff_metrics_json(const std::string& before_text,
     }
     if (e.in_before && e.in_after && e.before != 0.0) {
       e.delta_pct = 100.0 * (e.after - e.before) / std::fabs(e.before);
-      for (std::size_t i = 0; i < rules.size(); ++i) {
-        if (!glob_match(rules[i].pattern, e.key)) continue;
-        const bool bad = rules[i].above ? (e.delta_pct > rules[i].pct)
-                                        : (e.delta_pct < -rules[i].pct);
-        if (bad) {
-          e.violated_rule = static_cast<int>(i);
-          ++report.violations;
-          break;
-        }
+    }
+    for (std::size_t i = 0; i < rules.size(); ++i) {
+      if (!glob_match(rules[i].pattern, e.key)) continue;
+      matched[i] = true;
+      if (!e.in_before || e.violated_rule >= 0) continue;
+      // A gated key that disappeared fails; so does any move off a zero
+      // baseline in the rule's direction (no percentage bounds it).
+      const DiffRule& rule = rules[i];
+      bool bad = true;
+      if (e.in_after && e.before == 0.0) {
+        bad = rule.above ? e.after > 0.0 : e.after < 0.0;
+      } else if (e.in_after) {
+        bad = rule.above ? e.delta_pct > rule.pct : e.delta_pct < -rule.pct;
+      }
+      if (bad) {
+        e.violated_rule = static_cast<int>(i);
+        ++report.violations;
       }
     }
     report.entries.push_back(std::move(e));
+  }
+  for (std::size_t i = 0; i < rules.size(); ++i) {
+    if (!matched[i]) {
+      throw InputError(std::string("rule ") + (rules[i].above ? "--fail-above " : "--fail-below ") +
+                       rules[i].pattern + " matches no key in either file");
+    }
   }
   return report;
 }
@@ -111,14 +126,18 @@ void write_diff_report(std::ostream& os, const DiffReport& report,
       os << "  + " << e.key << " = " << e.after << " (new)\n";
       continue;
     }
-    if (!e.in_after) {
+    if (!e.in_after && e.violated_rule < 0) {
       os << "  - " << e.key << " (removed, was " << e.before << ")\n";
       continue;
     }
-    if (only_changed && e.before == e.after) continue;
-    os << (e.violated_rule >= 0 ? "  ! " : "    ") << e.key << ": " << e.before
-       << " -> " << e.after;
-    if (e.before != 0.0) {
+    if (only_changed && e.in_after && e.before == e.after) continue;
+    os << (e.violated_rule >= 0 ? "  ! " : "    ") << e.key << ": " << e.before << " -> ";
+    if (e.in_after) {
+      os << e.after;
+    } else {
+      os << "(removed)";
+    }
+    if (e.in_after && e.before != 0.0) {
       os << " (" << (e.delta_pct >= 0 ? "+" : "") << std::fixed
          << std::setprecision(1) << e.delta_pct << "%)" << std::defaultfloat
          << std::setprecision(6);

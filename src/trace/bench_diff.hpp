@@ -8,9 +8,14 @@
 //   fail-above  "time.*=10"          — fail if the new value exceeds the
 //                                      old by more than 10%
 //   fail-below  "rate.probes_per_sec=40" — fail if it drops more than 40%
-// A rule only fires when both sides have the key and the baseline is
-// nonzero (new keys / removed keys are reported but never fail — bench
-// schemas grow).
+// A rule fires on a key of the baseline that it matches when:
+//   - the current file lacks the key (a gated number must not vanish);
+//   - the baseline is 0 and the value moved in the rule's direction (no
+//     percentage bounds a move off zero);
+//   - otherwise, the relative change passes the percentage.
+// Keys new on the current side are reported but never fail (bench schemas
+// grow). A rule that matches no key on either side is an InputError, so a
+// renamed key cannot silently disarm its gate.
 //
 // Used by `rapids bench-diff`.
 #pragma once
@@ -51,7 +56,8 @@ struct DiffReport {
   std::size_t keys_after = 0;
 };
 
-/// Diff two JSON documents (full text). Throws InputError on parse errors.
+/// Diff two JSON documents (full text). Throws InputError on parse errors
+/// and on a rule that matches no key.
 DiffReport diff_metrics_json(const std::string& before_text,
                              const std::string& after_text,
                              const std::vector<DiffRule>& rules);

@@ -1,5 +1,6 @@
 #include "trace/metrics.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <ostream>
 
@@ -87,7 +88,11 @@ void write_number(std::ostream& os, double v) {
     os << 0;
     return;
   }
-  os << v;
+  // The shortest text that parses back to the same bits, so a gauge can be
+  // gated exactly across a write and a re-read.
+  char buf[32];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v);
+  os.write(buf, end - buf);
 }
 }  // namespace
 

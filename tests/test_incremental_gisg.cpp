@@ -386,6 +386,26 @@ TEST(IncrementalGisgSlowFlow, IncrementalAndFullRebuildFlowsMatchByteForByte) {
   }
 }
 
+TEST(IncrementalGisgSlowFlow, FullExtractionOnFourWorkersDeltaSyncsTheSameNetlist) {
+  // With incremental maintenance off, the replica-sync journal still runs:
+  // replicas delta-sync, and the netlist equals the one-worker run's and
+  // the clone-synced run's.
+  const CellLibrary& lib = lib035();
+  FlowOptions fopt;
+  fopt.opt.incremental_extraction = false;
+  const PreparedCircuit prepared = prepare_benchmark("c499", lib, fopt);
+  std::uint64_t delta_syncs = 0, full_syncs = 0;
+  EXPECT_EQ(check_exactness(prepared, lib, OptMode::GsgPlusGS, fopt, 4,
+                            exactness_oracles({"threads", "clone-sync"}),
+                            [&](const ExactnessOracle* row, const ModeRun& run) {
+                              if (row == nullptr || row->name != "threads") return;
+                              delta_syncs = run.result.metrics.counter("sync.delta_syncs");
+                              full_syncs = run.result.metrics.counter("sync.full_syncs");
+                            }),
+            "");
+  EXPECT_GT(delta_syncs, full_syncs);
+}
+
 TEST(IncrementalGisgSlowFlow, ParanoidFlowProvesSameMovesWithIncrementalPartition) {
   // Proof-session invalidation and partition dirt must stay in lockstep:
   // a paranoid flow with incremental maintenance proves the same move set

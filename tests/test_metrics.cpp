@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -54,6 +57,27 @@ std::vector<std::string> sorted_union(std::vector<std::string> a,
   a.insert(a.end(), b.begin(), b.end());
   std::sort(a.begin(), a.end());
   return a;
+}
+
+TEST(Metrics, GaugesRoundTripBitForBit) {
+  // place_hpwl is gated exactly in BENCH_engine.json, so a written gauge
+  // must parse back to the same bits.
+  const double values[] = {16068.141303030277, 0.1, 1.0 / 3.0, 2.33152e+06,
+                           5e-324, std::numeric_limits<double>::max(), -1234.5678e-9};
+  MetricsRegistry reg;
+  for (std::size_t i = 0; i < std::size(values); ++i) {
+    reg.set_gauge("g" + std::to_string(i), values[i]);
+  }
+  std::ostringstream os;
+  reg.write_json(os);
+  const JsonValue json = parse_json(os.str());
+  for (std::size_t i = 0; i < std::size(values); ++i) {
+    const JsonValue* v = json.find("gauges")->find("g" + std::to_string(i));
+    ASSERT_NE(v, nullptr);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(v->as_number()),
+              std::bit_cast<std::uint64_t>(values[i]))
+        << values[i];
+  }
 }
 
 TEST(Metrics, FlowKeySetIsStable) {

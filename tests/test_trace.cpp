@@ -421,6 +421,43 @@ TEST(BenchDiff, CleanDiffHasNoViolations) {
   EXPECT_EQ(report.violations, 0);
 }
 
+TEST(BenchDiff, MoveOffZeroBaselineViolates) {
+  const std::string before = R"({"counters": {"a": 0, "b": 0}})";
+  const std::string after = R"({"counters": {"a": 5, "b": 0}})";
+  std::vector<DiffRule> rules;
+  rules.push_back(parse_diff_rule("counters.*=0.0", /*above=*/true));
+  EXPECT_EQ(diff_metrics_json(before, after, rules).violations, 1);
+  // A drop below zero is the fail-below direction's move.
+  rules.push_back(parse_diff_rule("counters.*=0.0", /*above=*/false));
+  EXPECT_EQ(diff_metrics_json(before, R"({"counters": {"a": -1, "b": 0}})", rules).violations,
+            1);
+}
+
+TEST(BenchDiff, RemovedGatedKeyViolates) {
+  const std::string before = R"({"counters": {"a": 3, "b": 4}, "gauges": {"x": 1.5}})";
+  const std::string after = R"({"counters": {"a": 3}, "gauges": {"y": 2.5}})";
+  std::vector<DiffRule> rules;
+  rules.push_back(parse_diff_rule("counters.*=0.0", /*above=*/false));
+  const DiffReport report = diff_metrics_json(before, after, rules);
+  // counters.b vanished under its rule; gauges.x vanished ungated and the
+  // new gauges.y never fails.
+  EXPECT_EQ(report.violations, 1);
+  for (const DiffEntry& e : report.entries) {
+    EXPECT_EQ(e.violated_rule >= 0, e.key == "counters.b") << e.key;
+  }
+  std::ostringstream os;
+  write_diff_report(os, report, rules, /*only_changed=*/true);
+  EXPECT_NE(os.str().find("counters.b: 4 -> (removed)  REGRESSION"), std::string::npos)
+      << os.str();
+}
+
+TEST(BenchDiff, RuleMatchingNoKeyIsAnError) {
+  const std::string doc = R"({"counters": {"a": 1}})";
+  const std::vector<DiffRule> rules = {parse_diff_rule("counters.*=0.0", true),
+                                       parse_diff_rule("circuits.*.cells=0.0", true)};
+  EXPECT_THROW(diff_metrics_json(doc, doc, rules), InputError);
+}
+
 // --- end-to-end: observation changes nothing ---------------------------------
 
 TEST(TraceDeterminismSlow, TracingAndThreadsProduceIdenticalNetlists) {

@@ -61,6 +61,16 @@
 //       matching value grew more than 10%, --fail-below rate.*=40 when it
 //       dropped more than 40%. --all prints unchanged keys too.
 //
+//   rapids bench <engine|sta|parallel|sat|extract|scale|linear>
+//          [--out FILE] [--circuits a,b,c] [--min-time SECONDS]
+//          [--threads n,m] [--iters N] [--baseline FILE]
+//       Run one suite of the bench table (src/bench) and write its metrics
+//       snapshot (stdout without --out); `rapids bench-diff` gates it
+//       against a committed BENCH_<suite>.json. --baseline pairs the run
+//       with a snapshot of the same suite from another build, measured in
+//       the same session on the same host. Exits 1 when a hard check of
+//       the suite fails (netlist or verdict parity, load skew, sync growth).
+//
 //   rapids trace-check <trace.json>
 //       Validate a --trace output against the Chrome trace-event schema
 //       (used by CI's trace-smoke job); prints span categories and tracks.
@@ -96,6 +106,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench.hpp"
 #include "flow/flow.hpp"
 #include "fuzz/fuzz.hpp"
 #include "gen/suite.hpp"
@@ -340,6 +351,24 @@ int cmd_bench_diff(const std::vector<std::string>& args) {
   return report.violations > 0 ? 1 : 0;
 }
 
+int cmd_bench(const std::vector<std::string>& args) {
+  const BenchArgs bench = parse_bench_args(args);
+  const std::string baseline = bench.baseline.empty() ? "" : read_file_text(bench.baseline);
+  MetricsRegistry reg;
+  const BenchFailures failures = run_bench(bench, builtin_library_035(), reg);
+  if (!baseline.empty()) merge_baseline(reg, baseline);
+  if (bench.out.empty()) {
+    reg.write_json(std::cout);
+  } else {
+    std::ofstream os(bench.out);
+    reg.write_json(os);
+    if (!os) throw InputError("cannot write " + bench.out);
+    std::cerr << "wrote " << bench.out << "\n";
+  }
+  for (const std::string& f : failures) std::cerr << "FAIL: " << f << "\n";
+  return failures.empty() ? 0 : 1;
+}
+
 int cmd_trace_check(const std::vector<std::string>& args) {
   if (args.size() != 1) throw InputError("trace-check: expected one trace file");
   std::string diag;
@@ -415,11 +444,12 @@ int cmd_fuzz(const std::vector<std::string>& args) {
 
 int usage() {
   std::cerr << "usage: rapids [--log-level L] "
-               "<flow|serve|symmetry|table1|fuzz|bench-diff|trace-check|list> [args]\n"
+               "<flow|serve|symmetry|table1|fuzz|bench|bench-diff|trace-check|list> [args]\n"
                "  rapids flow c432 --mode gsg+gs --threads 4 --out c432_opt.blif\n"
                "  rapids flow c499 --sat-verify --paranoid\n"
                "  rapids flow c499 --trace t.json --metrics-json m.json\n"
                "  rapids serve --jobs jobs.txt --max-concurrent 2\n"
+               "  rapids bench engine --out /tmp/BENCH_engine.json\n"
                "  rapids bench-diff old.json new.json --fail-below "
                "rate.probes_per_sec=40\n"
                "  rapids trace-check t.json\n"
@@ -460,6 +490,7 @@ int main(int argc, char** argv) {
     if (cmd == "serve") return cmd_serve(args);
     if (cmd == "table1") return cmd_table1(args);
     if (cmd == "fuzz") return cmd_fuzz(args);
+    if (cmd == "bench") return cmd_bench(args);
     if (cmd == "bench-diff") return cmd_bench_diff(args);
     if (cmd == "trace-check") return cmd_trace_check(args);
     return usage();
